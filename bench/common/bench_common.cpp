@@ -8,7 +8,6 @@
 
 #include "comm/world.hpp"
 #include "util/env.hpp"
-#include "util/logging.hpp"
 
 namespace dibella::benchx {
 
@@ -261,7 +260,6 @@ const std::vector<ScalingRun>& run_scaling(const simgen::DatasetPreset& preset,
     }
   }
 
-  util::set_log_level(util::LogLevel::kWarn);
   const auto& reads = dataset(preset);
   // Warmup: one throwaway run touches every allocation path of the process,
   // taking first-run page faults and allocator growth out of the measured

@@ -9,16 +9,13 @@
 /// cached in the rank's ReadStore, replicating them for the
 /// embarrassingly-parallel alignment compute.
 ///
-/// Two schedules, identical results:
-///  * blocking — requests travel in one alltoallv; replies in two more
-///    (a header all-to-all plus a character all-to-all, exactly how an MPI
-///    code marshals ragged payloads);
-///  * overlapped (default) — requests and replies travel in bounded batches
-///    on the nonblocking comm::Exchanger, with reply serialization packed
-///    while the previous batch is in flight and arrived reads deserialized
-///    while the next one travels. Replies marshal gid/length/characters
-///    into a single byte stream per peer, so the three-phase blocking
-///    marshaling collapses into request batches + reply batches.
+/// Requests and replies travel in bounded batches on comm::Exchanger, two
+/// exchange loops in all: request-id batches, then reply batches that
+/// marshal gid/length/characters into a single byte stream per peer.
+/// Overlapped (the default), reply serialization is packed while the
+/// previous batch is in flight and arrived reads are deserialized while the
+/// next one travels; bulk-synchronous, each batch is a lock-step superstep.
+/// Identical replication either way.
 
 #include <vector>
 
@@ -30,8 +27,9 @@
 namespace dibella::align {
 
 struct ReadExchangeConfig {
-  /// Overlap request/reply batches with serialization (comm::Exchanger)
-  /// instead of the three blocking alltoallvs. Identical replication.
+  /// Exchange schedule (comm::Exchanger::Config::overlap): overlap
+  /// request/reply batches with serialization, or run bulk-synchronous
+  /// supersteps. Identical replication.
   bool overlap_comm = true;
   u64 batch_request_gids = 1u << 16;    ///< request gids per destination per batch
   u64 batch_reply_bytes = 1u << 20;     ///< serialized reply bytes per destination per batch

@@ -22,7 +22,7 @@ struct BloomStageConfig {
   /// Minimizer sketch applied to the k-mer scan. Must match stage 2's so
   /// both stages sample (and therefore route) the identical seed set.
   sketch::SketchConfig sketch;
-  /// Per-rank k-mer occurrences buffered per bulk-synchronous batch. The
+  /// Per-rank k-mer occurrences buffered per exchange batch. The
   /// memory bound of the streaming pass (§4): k-mers are never all resident.
   u64 batch_kmers = 1u << 20;
   double bloom_fpr = 0.05;
@@ -32,8 +32,9 @@ struct BloomStageConfig {
   /// the a-priori Eq. 2 estimate — HipMer's fallback for extreme genomes
   /// (§6). Costs one extra scan over the reads.
   bool use_hyperloglog_cardinality = false;
-  /// Overlap the batch exchange with packing/insertion (comm::Exchanger)
-  /// instead of the bulk-synchronous alltoallv loop. Identical output.
+  /// Exchange schedule (comm::Exchanger::Config::overlap): overlap the batch
+  /// exchange with packing/insertion, or run bulk-synchronous supersteps.
+  /// Identical output.
   bool overlap_comm = true;
   u64 exchange_chunk_bytes = 1u << 20;  ///< Exchanger chunk granularity
 };

@@ -79,7 +79,7 @@ pipeline:
   --bloom-fpr=F         Bloom filter false-positive rate (default 0.05)
   --overlap-comm=MODE   on  = nonblocking batched exchanges overlapped with
                               compute (default)
-                        off = bulk-synchronous pack -> alltoallv -> consume
+                        off = bulk-synchronous pack -> exchange -> consume
                         Alignments and counters are identical either way;
                         timings.tsv shows the exposed/hidden exchange split.
 
@@ -121,8 +121,8 @@ fault tolerance:
                         of KIND@STAGE:EPOCH[:RANK] specs, e.g. drop@overlap:0
                         or abort@align:0:2. KIND: drop | duplicate | delay |
                         truncate | bitflip are transport faults absorbed by
-                        the self-healing exchange (they need
-                        --overlap-comm=on and show up in the
+                        the self-healing exchange under either
+                        --overlap-comm schedule (they show up in the
                         comm_chunk_retries / _redeliveries / _corrupt_chunks
                         counters); abort kills the rank at that collective.
                         STAGE: bloom | ht | overlap | align | sgraph. EPOCH
@@ -610,12 +610,6 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
                          " but the run has only " + std::to_string(ranks) +
                          " ranks");
       }
-    }
-    if (fault_plan->has_transport_faults() && !cfg.overlap_comm) {
-      throw UsageError(
-          "--inject-fault transport faults (drop/duplicate/delay/truncate/"
-          "bitflip) require --overlap-comm=on (the bulk-synchronous path has "
-          "no framed exchange to mangle)");
     }
   }
 

@@ -14,7 +14,7 @@ void Communicator::barrier() {
   fault_point();
   util::WallTimer timer;
   ExchangeRecord rec = start_record(CollectiveOp::kBarrier);
-  state_.fence(epoch_);
+  state_.fence(rank_, epoch_);
   advance_epoch();
   finish_record(std::move(rec), timer.seconds());
 }

@@ -3,6 +3,7 @@
 /// Internal shared state of a World's ranks. Not part of the public API —
 /// include only from comm/*.cpp.
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -67,10 +68,13 @@ struct MailboxMessage {
 /// replay copy are stored under one lock, so a receiver that sees the replay
 /// entry without a consumable wire copy knows the chunk was lost or mangled
 /// in transit — never merely "not sent yet" — and requests a retransmission
-/// (bounded, with exponential backoff). In a fault-free run the replay
-/// buffer is not even populated (it only exists while a FaultPlan is
-/// installed), so the retry counters stay exactly zero and byte-identity of
-/// counters.tsv across schedules is preserved.
+/// (bounded, with exponential backoff). A waiting receiver sleeps on its
+/// mailbox's deposit generation, which every deposit bumps — a dropped
+/// chunk, which leaves only its replay entry, included — so it rescans for
+/// the replay entry instead of sleeping out the timeout. In a fault-free
+/// run the replay buffer is not even populated (it only exists while a
+/// FaultPlan is installed), so the retry counters stay exactly zero and
+/// byte-identity of counters.tsv across schedules is preserved.
 class WorldState {
  public:
   /// Bounded retransmission: a chunk that cannot be validated after this
@@ -83,6 +87,8 @@ class WorldState {
         timeout_(timeout_seconds),
         mailboxes_(static_cast<std::size_t>(ranks) * static_cast<std::size_t>(ranks)),
         next_seq_(static_cast<std::size_t>(ranks) * static_cast<std::size_t>(ranks), 0),
+        deposit_gen_(static_cast<std::size_t>(ranks) * static_cast<std::size_t>(ranks), 0),
+        entered_epoch_(static_cast<std::size_t>(ranks), 0),
         replay_(static_cast<std::size_t>(ranks) * static_cast<std::size_t>(ranks)),
         fault_stats_(static_cast<std::size_t>(ranks)),
         records_(static_cast<std::size_t>(ranks)),
@@ -107,6 +113,7 @@ class WorldState {
   void deposit(int src, int dst, MailboxMessage msg) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
+      note_deposit_locked(src, dst, msg.epoch);
       mailbox(src, dst).push_back(std::move(msg));
     }
     rank_cv_[static_cast<std::size_t>(dst)].notify_all();
@@ -122,6 +129,9 @@ class WorldState {
                       std::optional<FaultKind> fault) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
+      // Every deposit bumps the mailbox generation, a dropped one included:
+      // its replay entry is news to a receiver already waiting on this box.
+      note_deposit_locked(src, dst, msg.epoch);
       msg.framed = 1;
       msg.chunk_seq = next_seq_[pair_index(src, dst)]++;
       msg.payload_bytes = msg.bytes.size();
@@ -169,13 +179,14 @@ class WorldState {
 
   /// Consume the message of the src -> dst mailbox carrying
   /// `(epoch, op, chunk_index)`. Blocks until that deposit arrives; poisons
-  /// on timeout (a peer never reached this collective). Messages of *other*
+  /// on timeout (await_deposit_locked names the cause). Messages of *other*
   /// epochs may sit in the box while we wait — an in-flight Exchanger batch
   /// whose wait() comes after a later blocking collective, or a sender that
   /// has run ahead — but a message of the *same* epoch with a different op
   /// is a mismatched collective sequence and poisons the world immediately.
   MailboxMessage consume(int src, int dst, u64 epoch, CollectiveOp op, u32 chunk_index) {
     std::unique_lock<std::mutex> lock(mutex_);
+    note_entered_locked(dst, epoch);
     auto& box = mailbox(src, dst);
     while (true) {
       if (poisoned_) throw WorldPoisoned();
@@ -193,16 +204,7 @@ class WorldState {
         box.erase(it);
         return msg;
       }
-      std::size_t seen = box.size();
-      bool ok = rank_cv_[static_cast<std::size_t>(dst)].wait_for(
-          lock, std::chrono::duration<double>(timeout_),
-          [&] { return box.size() != seen || poisoned_; });
-      if (poisoned_) throw WorldPoisoned();
-      if (!ok) {
-        poison_locked(std::make_exception_ptr(CommFailure(
-            "exchange timeout: ranks executed mismatched collective sequences")));
-        throw WorldPoisoned();
-      }
+      await_deposit_locked(lock, src, dst, epoch, chunk_index);
     }
   }
 
@@ -217,6 +219,7 @@ class WorldState {
   /// idempotent.
   MailboxMessage consume_reliable(int src, int dst, u64 epoch, u32 chunk_index) {
     std::unique_lock<std::mutex> lock(mutex_);
+    note_entered_locked(dst, epoch);
     auto& box = mailbox(src, dst);
     u32 attempts = 0;
     while (true) {
@@ -287,16 +290,7 @@ class WorldState {
         }
         continue;
       }
-      std::size_t seen = box.size();
-      bool ok = rank_cv_[static_cast<std::size_t>(dst)].wait_for(
-          lock, std::chrono::duration<double>(timeout_),
-          [&] { return box.size() != seen || poisoned_; });
-      if (poisoned_) throw WorldPoisoned();
-      if (!ok) {
-        poison_locked(std::make_exception_ptr(CommFailure(
-            "exchange timeout: ranks executed mismatched collective sequences")));
-        throw WorldPoisoned();
-      }
+      await_deposit_locked(lock, src, dst, epoch, chunk_index);
     }
   }
 
@@ -341,9 +335,10 @@ class WorldState {
 
   /// The single phase fence: synchronize all ranks, verifying they agree on
   /// the collective epoch. Throws WorldPoisoned if any rank failed.
-  void fence(u64 epoch) {
+  void fence(int rank, u64 epoch) {
     std::unique_lock<std::mutex> lock(mutex_);
     if (poisoned_) throw WorldPoisoned();
+    note_entered_locked(rank, epoch);
     if (arrived_ == 0) {
       fence_epoch_ = epoch;
     } else if (epoch != fence_epoch_) {
@@ -398,6 +393,7 @@ class WorldState {
     for (auto& box : mailboxes_) box.clear();
     for (auto& r : replay_) r.clear();
     for (auto& s : fault_stats_) s = CommFaultStats{};
+    std::fill(entered_epoch_.begin(), entered_epoch_.end(), 0);  // epochs restart per region
   }
 
   /// Append a completed exchange record for `rank`, assigning the rank-local
@@ -425,6 +421,47 @@ class WorldState {
     return mailboxes_[pair_index(src, dst)];
   }
 
+  void note_entered_locked(int rank, u64 epoch) {
+    u64& entered = entered_epoch_[static_cast<std::size_t>(rank)];
+    entered = std::max(entered, epoch + 1);
+  }
+
+  void note_deposit_locked(int src, int dst, u64 epoch) {
+    ++deposit_gen_[pair_index(src, dst)];
+    note_entered_locked(src, epoch);
+  }
+
+  /// Sleep until anything is deposited into the src -> dst mailbox (a
+  /// dropped chunk's replay entry included) or the world is poisoned. On
+  /// timeout, poison with the awaited (src, dst, epoch, chunk) and the
+  /// cause: a sender that has entered this epoch's collective or a later one
+  /// without depositing the chunk runs a different collective sequence;
+  /// otherwise it never got here at all.
+  void await_deposit_locked(std::unique_lock<std::mutex>& lock, int src, int dst,
+                            u64 epoch, u32 chunk_index) {
+    const std::size_t pair = pair_index(src, dst);
+    const u64 seen = deposit_gen_[pair];
+    bool ok = rank_cv_[static_cast<std::size_t>(dst)].wait_for(
+        lock, std::chrono::duration<double>(timeout_),
+        [&] { return deposit_gen_[pair] != seen || poisoned_; });
+    if (poisoned_) throw WorldPoisoned();
+    if (ok) return;
+    std::string what = "exchange timeout: rank " + std::to_string(dst) +
+                       " waited for chunk " + std::to_string(chunk_index) +
+                       " of epoch " + std::to_string(epoch) + " from rank " +
+                       std::to_string(src) + ": ";
+    const u64 entered = entered_epoch_[static_cast<std::size_t>(src)];
+    if (entered > epoch) {
+      what += "ranks executed mismatched collective sequences (rank " +
+              std::to_string(src) + " is at epoch " + std::to_string(entered - 1) + ")";
+    } else {
+      what += "peer never arrived (rank " + std::to_string(src) +
+              " has not reached that collective)";
+    }
+    poison_locked(std::make_exception_ptr(CommFailure(what)));
+    throw WorldPoisoned();
+  }
+
   const MailboxMessage* find_replay(int src, int dst, u64 epoch, u32 chunk_index) const {
     const auto& per_epoch = replay_[pair_index(src, dst)];
     auto it = per_epoch.find(epoch);
@@ -448,6 +485,8 @@ class WorldState {
   const double timeout_;
   std::vector<std::deque<MailboxMessage>> mailboxes_;
   std::vector<u64> next_seq_;  ///< per (src, dst) wire sequence counters
+  std::vector<u64> deposit_gen_;   ///< per (src, dst): deposits so far (wakeup test)
+  std::vector<u64> entered_epoch_;  ///< per rank: newest collective epoch entered + 1, 0 = none
   /// Per (src, dst): pristine framed chunks keyed by epoch, kept until the
   /// receiver acks the epoch. Populated only while a FaultPlan is installed.
   std::vector<std::map<u64, std::vector<MailboxMessage>>> replay_;

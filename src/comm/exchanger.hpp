@@ -1,28 +1,27 @@
 #pragma once
 /// \file exchanger.hpp
-/// The nonblocking batched exchange: a double-buffered, chunked irregular
-/// all-to-all with post / flush_async / wait semantics.
+/// The batched irregular all-to-all every pipeline stage exchanges through:
+/// a chunked exchange with post / flush_async / wait semantics, and
+/// run_exchange, the one loop driver that runs a stage's pack/consume pair
+/// under either of two schedules.
 ///
-/// Usage pattern (one batch in flight at a time):
+/// The schedule is part of the Exchanger's config (`Config::overlap`):
 ///
-///   Exchanger ex(comm);
-///   ex.post(dst, items...);        // pack batch 0
-///   ex.flush_async(done0);         // batch 0 starts travelling
-///   while (...) {
-///     ex.post(dst, items...);      // pack batch i+1  } compute, hidden
-///     auto batch = ex.wait();      // batch i arrives  } behind the flight
-///     if (!batch.all_done()) ex.flush_async(done);
-///     consume(batch);              // insert batch i   } of batch i+1
-///   }
+///   * overlapped — batch i+1 is packed and batch i-1 consumed while batch
+///     i is in flight (one flush outstanding at a time);
+///   * bulk-synchronous (the paper's superstep) — pack, flush, wait,
+///     consume, in lock-step, so nothing overlaps the exchange.
+///
+/// Both schedules call the same pack/consume lambdas in the same order,
+/// over the same batch boundaries, and consume each batch in source-rank
+/// order, so their outputs are bitwise-identical by construction. Both
+/// travel the same framed, self-healing chunk path.
 ///
 /// flush_async seals the current pack buffers into per-peer chunk trains and
 /// deposits them into the World's mailbox slots without blocking (deposits
-/// never block, so two ranks flushing at each other cannot deadlock); the
-/// caller is free to pack the next batch and consume the previous one while
-/// peers' chunks trickle in. wait() blocks only for the deposits that have
-/// not yet arrived and returns the batch concatenated in source-rank order —
-/// the same consumption order as the blocking alltoallv_flat, which is what
-/// keeps the overlapped and bulk-synchronous schedules bitwise-identical.
+/// never block, so two ranks flushing at each other cannot deadlock). wait()
+/// blocks only for the deposits that have not yet arrived and returns the
+/// batch concatenated in source-rank order.
 ///
 /// Each flush carries a piggybacked per-sender `done` bit, so streaming
 /// loops terminate without a separate allreduce: stop after the first batch
@@ -35,7 +34,8 @@
 /// flush-to-wait window in which the exchange was concurrent with compute.
 /// The flush also fires the communicator's exchange-start sink so the rank
 /// trace brackets the compute-concurrent window for the cost model's
-/// virtual exposed/hidden split.
+/// virtual exposed/hidden split. Under the bulk-synchronous schedule that
+/// window holds no compute, so the whole exchange stays exposed.
 
 #include <algorithm>
 #include <cstring>
@@ -95,12 +95,12 @@ struct RecvBatch {
 };
 
 /// Sequential POD reader over a received byte region (one source's slice of
-/// a RecvBatch, a per-source vector from alltoallv, or bytes accumulated
-/// across several overlapped batches): the consumption-side counterpart of
-/// post()-ing a framed record stream field by field. Framed streams let a
-/// stage ship ragged records (header + variable payload) through the same
-/// byte exchanges as flat ones; the reader checks bounds so a truncated or
-/// misaligned frame fails loudly instead of reading garbage.
+/// a RecvBatch, or one source's bytes accumulated across several batches):
+/// the consumption-side counterpart of post()-ing a framed record stream
+/// field by field. Framed streams let a stage ship ragged records (header +
+/// variable payload) through the same byte exchanges as flat ones; the
+/// reader checks bounds so a truncated or misaligned frame fails loudly
+/// instead of reading garbage.
 class ByteReader {
  public:
   ByteReader(const u8* data, u64 size) : p_(data), left_(size) {}
@@ -145,6 +145,9 @@ class Exchanger {
     /// a chunk train. Bounds the granularity at which a flush's data becomes
     /// available to the receiver.
     u64 chunk_bytes = 1u << 20;
+    /// Schedule of run_exchange: overlap packing/consuming with the batch
+    /// in flight, or run bulk-synchronous supersteps. Output is identical.
+    bool overlap = true;
   };
 
   explicit Exchanger(Communicator& comm) : Exchanger(comm, Config()) {}
@@ -159,6 +162,7 @@ class Exchanger {
 
   int rank() const { return comm_.rank(); }
   int size() const { return comm_.size(); }
+  const Config& config() const { return cfg_; }
 
   /// Append raw bytes to the current batch's payload for `dst`.
   void post_bytes(int dst, const void* data, std::size_t n);
@@ -201,18 +205,19 @@ class Exchanger {
   util::WallTimer flight_timer_;        ///< started at flush_async (hidden window)
 };
 
-/// Drive a complete overlapped exchange loop: `pack()` fills the exchanger's
-/// current batch and returns true while this rank may still have more to
-/// send; `consume(batch)` handles each arrived batch. Batch i+1 is packed
-/// and batch i-1 consumed while batch i is in flight. Equivalent, batch for
-/// batch, to the bulk-synchronous loop
+/// Drive a complete exchange loop under the exchanger's schedule: `pack()`
+/// fills the current batch and returns true while this rank may still have
+/// more to send; `consume(batch)` handles each arrived batch. The loop runs
+/// until the first batch in which every rank reported done, and returns the
+/// number of batches exchanged.
 ///
-///   do { pack(); exchange; } while (!allreduce_and(done));
-///
-/// including its termination: the loop runs until the first batch in which
-/// every rank reported done. Returns the number of batches exchanged.
+/// Overlapped, batch i+1 is packed and batch i-1 consumed while batch i is
+/// in flight. Bulk-synchronous, each batch is one superstep:
+/// pack -> flush -> wait -> consume. The pack and consume calls, and thus
+/// the output, are the same either way.
 template <class PackFn, class ConsumeFn>
-u64 run_overlapped_exchange(Exchanger& ex, PackFn&& pack, ConsumeFn&& consume) {
+u64 run_exchange(Exchanger& ex, PackFn&& pack, ConsumeFn&& consume) {
+  const bool overlap = ex.config().overlap;
   bool more = pack();
   ex.flush_async(/*done=*/!more);
   u64 batches = 0;
@@ -220,13 +225,17 @@ u64 run_overlapped_exchange(Exchanger& ex, PackFn&& pack, ConsumeFn&& consume) {
     // Pack the next batch while the current one is in flight. Safe to do
     // speculatively: if this rank still has data, its done bit on the
     // in-flight batch is false, so the loop cannot terminate underneath it.
-    if (more) more = pack();
+    if (overlap && more) more = pack();
     RecvBatch batch = ex.wait();
     ++batches;
-    bool all_done = batch.all_done();
-    if (!all_done) ex.flush_async(/*done=*/!more);
+    const bool all_done = batch.all_done();
+    if (overlap && !all_done) ex.flush_async(/*done=*/!more);
     consume(batch);
     if (all_done) return batches;
+    if (!overlap) {
+      if (more) more = pack();
+      ex.flush_async(/*done=*/!more);
+    }
   }
 }
 

@@ -80,7 +80,6 @@ class FaultPlan {
   static std::shared_ptr<const FaultPlan> parse(const std::string& text);
 
   const std::vector<FaultSpec>& specs() const { return specs_; }
-  bool has_transport_faults() const;
 
   /// Called by each rank at the start of collective `index` of `stage`:
   /// throws RankFailure when an unfired abort spec matches (stage, rank,

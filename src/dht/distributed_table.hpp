@@ -27,8 +27,9 @@ struct HashTableStageConfig {
   u64 batch_instances = 1u << 20;  ///< per-rank occurrences per batch
   u32 min_count = 2;               ///< below: singleton purge
   u32 max_count = 8;               ///< above: high-frequency purge (m)
-  /// Overlap the batch exchange with packing/insertion (comm::Exchanger)
-  /// instead of the bulk-synchronous alltoallv loop. Identical output.
+  /// Exchange schedule (comm::Exchanger::Config::overlap): overlap the batch
+  /// exchange with packing/insertion, or run bulk-synchronous supersteps.
+  /// Identical output.
   bool overlap_comm = true;
   u64 exchange_chunk_bytes = 1u << 20;  ///< Exchanger chunk granularity
 };

@@ -41,10 +41,9 @@ static_assert(std::is_trivially_copyable_v<OverlapTaskWire>);
 
 struct OverlapStageConfig {
   SeedFilterConfig seed_filter = SeedFilterConfig::one_seed();
-  /// Overlap the task exchange with packing/accumulation (comm::Exchanger):
-  /// the buffered tasks travel in bounded batches while the receiver
-  /// normalizes the previous batch. Off = one blocking alltoallv. The
-  /// consolidated tasks are identical either way (consolidation sorts).
+  /// Exchange schedule (comm::Exchanger::Config::overlap): on = the next
+  /// task batch is formed while the previous one is in flight; off = each
+  /// batch is a bulk-synchronous superstep. Identical tasks either way.
   bool overlap_comm = true;
   u64 batch_tasks = 1u << 18;           ///< wire tasks per destination per batch
   u64 exchange_chunk_bytes = 1u << 20;  ///< Exchanger chunk granularity

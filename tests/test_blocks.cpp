@@ -295,7 +295,11 @@ TEST(BlockReadStore, HeldPairSurvivesInterleavedLoads) {
 
 // --- the tentpole contract: block count never changes the output -------------
 
-TEST(Blocks, OutputBytewiseIdenticalAcrossBlocksRanksAndSchedules) {
+namespace {
+
+/// One rank count of the blocks grid: every block count and both schedules
+/// must write the PAF/GFA/eval bytes of the 3-rank in-memory run.
+void expect_blocks_bytewise_identical(int ranks) {
   auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test(3));
   auto truth = std::make_shared<const dibella::io::TruthTable>(
       dibella::simgen::truth_table(sim));
@@ -310,29 +314,46 @@ TEST(Blocks, OutputBytewiseIdenticalAcrossBlocksRanksAndSchedules) {
   ASSERT_FALSE(base.eval_tsv.empty());
 
   for (u32 blocks : {2u, 4u}) {
-    for (int ranks : {1, 2, 3, 5}) {
-      for (bool overlap_comm : {true, false}) {
-        auto c = cfg;
-        c.blocks = blocks;
-        c.memory_budget_bytes = 64u << 20;
-        c.overlap_comm = overlap_comm;
-        dibella::comm::World world(ranks);
-        auto out = run_pipeline(world, sim.reads, c, truth);
-        ASSERT_TRUE(out.eval_ran);
-        ASSERT_NE(out.spill, nullptr);
-        auto got = artifacts(out, sim.reads, c.sgraph_fuzz);
-        const char* where = overlap_comm ? "overlapped" : "blocking";
-        EXPECT_EQ(got.paf, base.paf)
-            << "PAF diverged: blocks=" << blocks << " ranks=" << ranks << " " << where;
-        EXPECT_EQ(got.gfa, base.gfa)
-            << "GFA diverged: blocks=" << blocks << " ranks=" << ranks << " " << where;
-        EXPECT_EQ(got.eval_tsv, base.eval_tsv)
-            << "eval.tsv diverged: blocks=" << blocks << " ranks=" << ranks << " "
-            << where;
-      }
+    for (bool overlap_comm : {true, false}) {
+      auto c = cfg;
+      c.blocks = blocks;
+      c.memory_budget_bytes = 64u << 20;
+      c.overlap_comm = overlap_comm;
+      dibella::comm::World world(ranks);
+      auto out = run_pipeline(world, sim.reads, c, truth);
+      ASSERT_TRUE(out.eval_ran);
+      ASSERT_NE(out.spill, nullptr);
+      auto got = artifacts(out, sim.reads, c.sgraph_fuzz);
+      const char* where = overlap_comm ? "overlapped" : "blocking";
+      EXPECT_EQ(got.paf, base.paf)
+          << "PAF diverged: blocks=" << blocks << " ranks=" << ranks << " " << where;
+      EXPECT_EQ(got.gfa, base.gfa)
+          << "GFA diverged: blocks=" << blocks << " ranks=" << ranks << " " << where;
+      EXPECT_EQ(got.eval_tsv, base.eval_tsv)
+          << "eval.tsv diverged: blocks=" << blocks << " ranks=" << ranks << " "
+          << where;
     }
   }
 }
+
+}  // namespace
+
+// The grid's rank counts run as separate cases so `ctest -j` spreads them:
+// 1 rank here, 2/3/5 ranks in BlocksGrid below.
+TEST(Blocks, OutputBytewiseIdenticalAcrossBlocksRanksAndSchedules) {
+  expect_blocks_bytewise_identical(1);
+}
+
+class BlocksGrid : public ::testing::TestWithParam<int> {};
+
+TEST_P(BlocksGrid, OutputBytewiseIdenticalAcrossBlocksRanksAndSchedules) {
+  expect_blocks_bytewise_identical(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, BlocksGrid, ::testing::Values(2, 3, 5),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "ranks" + std::to_string(info.param);
+                         });
 
 TEST(Blocks, MinimizerModeOutputBytewiseIdenticalAcrossGrid) {
   // The same pinning grid with the sketch layer on: at a fixed density the

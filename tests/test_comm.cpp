@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <numeric>
 
@@ -424,16 +425,17 @@ TEST(Exchanger, ChunkTrainsReassembleLargePayloads) {
 }
 
 TEST(Exchanger, OverlappedLoopMatchesBlockingLoop) {
-  // The overlapped helper must deliver, batch for batch, exactly what the
-  // blocking pack -> alltoallv_flat -> allreduce loop delivers, including
-  // the ragged termination (ranks run out of data at different times).
+  // run_exchange must deliver, batch for batch, exactly what the blocking
+  // pack -> alltoallv_flat -> allreduce loop delivers, including the ragged
+  // termination (ranks run out of data at different times) — under both of
+  // its schedules, with the same number of exchange rounds.
   const int P = 5;
   const int kBatches[] = {7, 2, 5, 1, 4};  // per-rank batch counts
   auto payload = [](int src, int batch, int dst) {
     return static_cast<u64>(src * 10000 + batch * 100 + dst);
   };
 
-  // Reference: blocking schedule.
+  // Reference: the blocking collectives.
   std::vector<std::vector<u64>> blocking_recv(P);
   {
     dc::World world(P);
@@ -456,16 +458,16 @@ TEST(Exchanger, OverlappedLoopMatchesBlockingLoop) {
     });
   }
 
-  // Overlapped schedule on the Exchanger.
-  std::vector<std::vector<u64>> overlapped_recv(P);
-  std::vector<u64> batches(P, 0);
-  {
+  for (bool overlap : {true, false}) {
+    SCOPED_TRACE(overlap ? "overlapped" : "bulk-synchronous");
+    std::vector<std::vector<u64>> recv(P);
+    std::vector<u64> batches(P, 0);
     dc::World world(P);
     world.run([&](dc::Communicator& comm) {
       int me = comm.rank();
-      dc::Exchanger ex(comm);
+      dc::Exchanger ex(comm, {/*chunk_bytes=*/1u << 20, overlap});
       int sent = 0;
-      batches[static_cast<std::size_t>(me)] = dc::run_overlapped_exchange(
+      batches[static_cast<std::size_t>(me)] = dc::run_exchange(
           ex,
           [&] {
             for (int d = 0; d < P; ++d) {
@@ -476,17 +478,20 @@ TEST(Exchanger, OverlappedLoopMatchesBlockingLoop) {
             return sent < kBatches[me];
           },
           [&](const dc::RecvBatch& batch) {
-            batch.append_to(overlapped_recv[static_cast<std::size_t>(me)]);
+            batch.append_to(recv[static_cast<std::size_t>(me)]);
           });
     });
-  }
-
-  for (int r = 0; r < P; ++r) {
-    EXPECT_EQ(overlapped_recv[static_cast<std::size_t>(r)],
-              blocking_recv[static_cast<std::size_t>(r)])
-        << "rank " << r;
-    // Same number of exchange rounds as the blocking loop (max batches = 7).
-    EXPECT_EQ(batches[static_cast<std::size_t>(r)], 7u);
+    auto records = world.exchange_records();
+    for (int r = 0; r < P; ++r) {
+      EXPECT_EQ(recv[static_cast<std::size_t>(r)], blocking_recv[static_cast<std::size_t>(r)])
+          << "rank " << r;
+      // Same number of exchange rounds as the blocking loop (max batches =
+      // 7), each one Exchanger flush — no separate termination vote.
+      EXPECT_EQ(batches[static_cast<std::size_t>(r)], 7u);
+      const auto& log = records[static_cast<std::size_t>(r)];
+      ASSERT_EQ(log.size(), 7u) << "rank " << r;
+      for (const auto& rec : log) EXPECT_EQ(rec.op, dc::CollectiveOp::kExchange);
+    }
   }
 }
 
@@ -538,6 +543,48 @@ TEST(CommFailure, BarrierTimeoutAbortsRun) {
     if (comm.rank() == 0) ++ok;
   });
   EXPECT_EQ(ok, 1);
+}
+
+TEST(CommFailure, ExchangeTimeoutNamesTheAwaitedChunkAndItsCause) {
+  // A receiver whose peer never flushes must say so — naming the awaited
+  // (src, dst, epoch, chunk) — rather than blame a collective mismatch.
+  auto timeout_message = [](int P, const std::function<void(dc::Communicator&)>& fn) {
+    dc::World world(P, /*barrier_timeout_seconds=*/0.5);
+    try {
+      world.run(fn);
+    } catch (const dibella::Error& e) {
+      return std::string(e.what());
+    }
+    ADD_FAILURE() << "the receiver must time out";
+    return std::string();
+  };
+
+  std::string never = timeout_message(2, [](dc::Communicator& comm) {
+    if (comm.rank() == 0) return;  // never reaches the exchange
+    dc::Exchanger ex(comm);
+    ex.flush_async(true);
+    ex.wait();
+  });
+  EXPECT_NE(never.find("rank 1 waited for chunk 0 of epoch 0 from rank 0"),
+            std::string::npos) << never;
+  EXPECT_NE(never.find("peer never arrived"), std::string::npos) << never;
+  EXPECT_EQ(never.find("mismatch"), std::string::npos) << never;
+
+  // Rank 0 spends epoch 0 on a gather rooted at rank 2 and flushes at epoch
+  // 1; rank 1 exchanges at epoch 0. Rank 0 has run past the awaited epoch
+  // without depositing it: a mismatched collective sequence.
+  std::string skipped = timeout_message(3, [](dc::Communicator& comm) {
+    if (comm.rank() == 2) return;
+    if (comm.rank() == 0) comm.gather(std::vector<u64>{1}, /*root=*/2);
+    dc::Exchanger ex(comm);
+    ex.flush_async(true);
+    if (comm.rank() == 1) ex.wait();
+  });
+  EXPECT_NE(skipped.find("rank 1 waited for chunk 0 of epoch 0 from rank 0"),
+            std::string::npos) << skipped;
+  EXPECT_NE(skipped.find("mismatched collective sequences"), std::string::npos)
+      << skipped;
+  EXPECT_NE(skipped.find("rank 0 is at epoch 1"), std::string::npos) << skipped;
 }
 
 TEST(CommFailure, MismatchedCollectiveKindsPoisonTheWorld) {

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -120,9 +121,9 @@ dc::PipelineConfig tiny_config() {
 class FaultCli : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           (std::string("dibella_fault_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::string name = ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');  // parameterized cases
+    dir_ = fs::path(::testing::TempDir()) / ("dibella_fault_" + name);
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
@@ -168,8 +169,6 @@ TEST(FaultPlan, ParsesSpecLists) {
   EXPECT_EQ(plan->specs()[1].epoch, 3u);
   EXPECT_EQ(plan->specs()[1].rank, 2);
   EXPECT_EQ(plan->specs()[2].kind, dcomm::FaultKind::kBitFlip);
-  EXPECT_TRUE(plan->has_transport_faults());
-  EXPECT_FALSE(dcomm::FaultPlan::parse("abort@bloom:0")->has_transport_faults());
 }
 
 TEST(FaultPlan, RejectsMalformedSpecs) {
@@ -485,44 +484,61 @@ TEST(SpillReclamation, RankAbortUnwindLeavesNoSpillDirBehind) {
 
 // --- checkpoint/restart acceptance (driver level) ----------------------------
 
-TEST_F(FaultCli, ResumeIsByteIdenticalAcrossRankCountsAndSchedules) {
-  for (int ranks : {1, 2, 3, 5}) {
-    for (const char* sched : {"on", "off"}) {
-      SCOPED_TRACE(std::to_string(ranks) + " ranks, overlap-comm=" + sched);
-      const fs::path cell = dir_ / (std::to_string(ranks) + "_" + sched);
-      const std::vector<std::string> common = {
-          "--preset=tiny", "--ranks=" + std::to_string(ranks),
-          "--overlap-comm=" + std::string(sched)};
+namespace {
 
-      auto ref_args = common;
-      ref_args.push_back("--out-dir=" + (cell / "ref").string());
-      DriverResult ref = run_driver(ref_args);
-      ASSERT_EQ(ref.exit_code, dibella::cli::kExitOk) << ref.err;
+/// One rank count of the resume grid, both schedules: kill the last rank at
+/// the first stage-4 collective (stages 1-3 are checkpointed, stage 4 is
+/// not), resume, and compare against the uninterrupted run.
+void expect_resume_byte_identical(const fs::path& dir, int ranks) {
+  for (const char* sched : {"on", "off"}) {
+    SCOPED_TRACE(std::to_string(ranks) + " ranks, overlap-comm=" + sched);
+    const fs::path cell = dir / (std::to_string(ranks) + "_" + sched);
+    const std::vector<std::string> common = {
+        "--preset=tiny", "--ranks=" + std::to_string(ranks),
+        "--overlap-comm=" + std::string(sched)};
 
-      // Kill the last rank at the first stage-4 collective: stages 1-3 are
-      // checkpointed, stage 4 is not.
-      auto abort_args = common;
-      abort_args.push_back("--checkpoint-dir=" + (cell / "ckpt").string());
-      abort_args.push_back("--inject-fault=abort@align:0:" +
-                           std::to_string(ranks - 1));
-      abort_args.push_back("--out-dir=" + (cell / "aborted").string());
-      DriverResult aborted = run_driver(abort_args);
-      EXPECT_EQ(aborted.exit_code, dibella::cli::kExitCommFailure) << aborted.err;
-      EXPECT_FALSE(
-          fs::exists(cell / "aborted" / dibella::cli::kAlignmentsFile));
+    auto ref_args = common;
+    ref_args.push_back("--out-dir=" + (cell / "ref").string());
+    DriverResult ref = run_driver(ref_args);
+    ASSERT_EQ(ref.exit_code, dibella::cli::kExitOk) << ref.err;
 
-      auto resume_args = common;
-      resume_args.push_back("--checkpoint-dir=" + (cell / "ckpt").string());
-      resume_args.push_back("--resume");
-      resume_args.push_back("--out-dir=" + (cell / "resumed").string());
-      DriverResult resumed = run_driver(resume_args);
-      ASSERT_EQ(resumed.exit_code, dibella::cli::kExitOk) << resumed.err;
+    auto abort_args = common;
+    abort_args.push_back("--checkpoint-dir=" + (cell / "ckpt").string());
+    abort_args.push_back("--inject-fault=abort@align:0:" + std::to_string(ranks - 1));
+    abort_args.push_back("--out-dir=" + (cell / "aborted").string());
+    DriverResult aborted = run_driver(abort_args);
+    EXPECT_EQ(aborted.exit_code, dibella::cli::kExitCommFailure) << aborted.err;
+    EXPECT_FALSE(fs::exists(cell / "aborted" / dibella::cli::kAlignmentsFile));
 
-      expect_outputs_equal(outputs_of(cell / "ref"),
-                           outputs_of(cell / "resumed"));
-    }
+    auto resume_args = common;
+    resume_args.push_back("--checkpoint-dir=" + (cell / "ckpt").string());
+    resume_args.push_back("--resume");
+    resume_args.push_back("--out-dir=" + (cell / "resumed").string());
+    DriverResult resumed = run_driver(resume_args);
+    ASSERT_EQ(resumed.exit_code, dibella::cli::kExitOk) << resumed.err;
+
+    expect_outputs_equal(outputs_of(cell / "ref"), outputs_of(cell / "resumed"));
   }
 }
+
+}  // namespace
+
+// The grid's rank counts run as separate cases so `ctest -j` spreads them:
+// 1 rank here, 2/3/5 ranks in FaultCliResumeGrid below.
+TEST_F(FaultCli, ResumeIsByteIdenticalAcrossRankCountsAndSchedules) {
+  expect_resume_byte_identical(dir_, 1);
+}
+
+class FaultCliResumeGrid : public FaultCli, public ::testing::WithParamInterface<int> {};
+
+TEST_P(FaultCliResumeGrid, ResumeIsByteIdenticalAcrossRankCountsAndSchedules) {
+  expect_resume_byte_identical(dir_, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, FaultCliResumeGrid, ::testing::Values(2, 3, 5),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "ranks" + std::to_string(info.param);
+                         });
 
 TEST_F(FaultCli, ResumeRestoresEveryCheckpointStage) {
   // Abort progressively later, so --resume exercises each restore codec:
@@ -632,6 +648,22 @@ TEST_F(FaultCli, DropFaultIsAbsorbedWithUnchangedOutputs) {
   expect_outputs_equal(outputs_of(ref_dir), outputs_of(fault_dir));
   auto counters = parse_counters(load(fault_dir / dibella::cli::kCountersFile));
   EXPECT_GE(counters.at("comm_chunk_retries"), 1u);
+
+  // The bulk-synchronous schedule travels the same framed exchange: drops
+  // and bit flips in stage 1 and stage 4 heal to the clean run's bytes.
+  int case_index = 0;
+  for (const char* faults : {"drop@bloom:0,bitflip@align:0", "bitflip@bloom:0,drop@align:0"}) {
+    SCOPED_TRACE(faults);
+    const fs::path cell = dir_ / ("off" + std::to_string(case_index++));
+    DriverResult healed = run_driver(
+        {"--preset=tiny", "--ranks=3", "--overlap-comm=off",
+         "--inject-fault=" + std::string(faults), "--out-dir=" + cell.string()});
+    ASSERT_EQ(healed.exit_code, dibella::cli::kExitOk) << healed.err;
+    expect_outputs_equal(outputs_of(ref_dir), outputs_of(cell));
+    auto off_counters = parse_counters(load(cell / dibella::cli::kCountersFile));
+    EXPECT_GE(off_counters.at("comm_chunk_retries"), 2u);
+    EXPECT_GE(off_counters.at("comm_corrupt_chunks"), 1u);
+  }
 }
 
 TEST_F(FaultCli, MultiFaultRunAbsorbsEveryTransportKind) {

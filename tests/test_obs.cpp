@@ -296,39 +296,54 @@ Artifacts run_artifacts(const std::vector<dibella::io::Read>& reads,
 
 }  // namespace
 
-TEST(ObsPipeline, TracingOnOffOutputsByteIdenticalAcrossRanksAndSchedules) {
-  // The tentpole invariant: collecting spans must not perturb any output
-  // byte — PAF, GFA, eval, and the metrics dump — for every rank count and
-  // both schedules.
+namespace {
+
+/// One rank count of the tracing grid, both schedules: collecting spans
+/// must not perturb any output byte — PAF, GFA, eval — and the outputs
+/// themselves must equal the 1-rank, overlapped, spans-off baseline.
+void expect_tracing_invisible(int ranks) {
   auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test());
   auto truth = std::make_shared<const dibella::io::TruthTable>(
       dibella::simgen::truth_table(sim));
-  Artifacts baseline;  // spans off, 1 rank, overlapped schedule
-  bool have_baseline = false;
-  for (int ranks : {1, 2, 3, 5}) {
-    for (bool overlap_comm : {true, false}) {
-      Artifacts off = run_artifacts(sim.reads, truth, ranks, overlap_comm,
-                                    /*spans=*/false, /*blocks=*/1);
-      Artifacts on = run_artifacts(sim.reads, truth, ranks, overlap_comm,
-                                   /*spans=*/true, /*blocks=*/1);
-      const std::string label = "ranks=" + std::to_string(ranks) +
-                                " overlap_comm=" + std::to_string(overlap_comm);
-      EXPECT_EQ(off.paf, on.paf) << label;
-      EXPECT_EQ(off.gfa, on.gfa) << label;
-      EXPECT_EQ(off.eval, on.eval) << label;
-      ASSERT_FALSE(off.eval.empty()) << label;
-      if (!have_baseline) {
-        baseline = off;
-        have_baseline = true;
-      } else {
-        // And the outputs themselves are rank/schedule invariant.
-        EXPECT_EQ(baseline.paf, off.paf) << label;
-        EXPECT_EQ(baseline.gfa, off.gfa) << label;
-        EXPECT_EQ(baseline.eval, off.eval) << label;
-      }
-    }
+  const Artifacts baseline = run_artifacts(sim.reads, truth, 1, /*overlap_comm=*/true,
+                                           /*spans=*/false, /*blocks=*/1);
+  for (bool overlap_comm : {true, false}) {
+    Artifacts off = run_artifacts(sim.reads, truth, ranks, overlap_comm,
+                                  /*spans=*/false, /*blocks=*/1);
+    Artifacts on = run_artifacts(sim.reads, truth, ranks, overlap_comm,
+                                 /*spans=*/true, /*blocks=*/1);
+    const std::string label = "ranks=" + std::to_string(ranks) +
+                              " overlap_comm=" + std::to_string(overlap_comm);
+    EXPECT_EQ(off.paf, on.paf) << label;
+    EXPECT_EQ(off.gfa, on.gfa) << label;
+    EXPECT_EQ(off.eval, on.eval) << label;
+    ASSERT_FALSE(off.eval.empty()) << label;
+    // And the outputs themselves are rank/schedule invariant.
+    EXPECT_EQ(baseline.paf, off.paf) << label;
+    EXPECT_EQ(baseline.gfa, off.gfa) << label;
+    EXPECT_EQ(baseline.eval, off.eval) << label;
   }
 }
+
+}  // namespace
+
+// The tentpole invariant, for every rank count and both schedules. The grid's
+// rank counts run as separate cases so `ctest -j` spreads them: 1 rank here,
+// 2/3/5 ranks in ObsPipelineGrid below.
+TEST(ObsPipeline, TracingOnOffOutputsByteIdenticalAcrossRanksAndSchedules) {
+  expect_tracing_invisible(1);
+}
+
+class ObsPipelineGrid : public ::testing::TestWithParam<int> {};
+
+TEST_P(ObsPipelineGrid, TracingOnOffOutputsByteIdenticalAcrossRanksAndSchedules) {
+  expect_tracing_invisible(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, ObsPipelineGrid, ::testing::Values(2, 3, 5),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "ranks" + std::to_string(info.param);
+                         });
 
 TEST(ObsPipeline, TracingOnOffByteIdenticalInBlockMode) {
   auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test());

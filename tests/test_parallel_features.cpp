@@ -1,6 +1,5 @@
 // Tests for the distributed auxiliary features: HyperLogLog-based
-// distributed cardinality estimation (HipMer's fallback path, §6) and
-// parallel FASTQ ingestion with cooperative reassembly.
+// distributed cardinality estimation (HipMer's fallback path, §6).
 
 #include <gtest/gtest.h>
 
@@ -11,8 +10,6 @@
 #include "comm/world.hpp"
 #include "core/pipeline.hpp"
 #include "dht/distributed_table.hpp"
-#include "io/fastx.hpp"
-#include "io/parallel_load.hpp"
 #include "io/read_store.hpp"
 #include "kmer/parser.hpp"
 #include "kmer/spectrum.hpp"
@@ -112,59 +109,5 @@ TEST(DistributedCardinality, HllSizedBloomStageMatchesDefaultPath) {
       EXPECT_TRUE(default_keys.count(km.to_string(k)));
       EXPECT_TRUE(hll_keys.count(km.to_string(k)));
     }
-  }
-}
-
-TEST(ParallelLoad, MatchesSerialParse) {
-  Fixture fx(71, 1);
-  std::string fastq = dibella::io::to_fastq(fx.reads);
-  auto serial = dibella::io::parse_fastq(fastq);
-
-  for (int P : {1, 3, 5}) {
-    dibella::comm::World world(P);
-    std::vector<dibella::netsim::RankTrace> traces(static_cast<std::size_t>(P));
-    std::vector<std::vector<dibella::io::Read>> results(static_cast<std::size_t>(P));
-    world.run([&](dibella::comm::Communicator& comm) {
-      dibella::core::StageContext ctx{comm, traces[static_cast<std::size_t>(comm.rank())]};
-      ctx.attach();
-      results[static_cast<std::size_t>(comm.rank())] =
-          dibella::io::load_fastq_parallel(ctx, fastq);
-    });
-    for (int r = 0; r < P; ++r) {
-      const auto& got = results[static_cast<std::size_t>(r)];
-      ASSERT_EQ(got.size(), serial.size()) << "P=" << P << " rank=" << r;
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].gid, i);
-        EXPECT_EQ(got[i].name, serial[i].name);
-        EXPECT_EQ(got[i].seq, serial[i].seq);
-        EXPECT_EQ(got[i].qual, serial[i].qual);
-      }
-    }
-  }
-}
-
-TEST(ParallelLoad, FeedsPipelineEndToEnd) {
-  // FASTQ text -> parallel ingest -> full pipeline; equals the in-memory path.
-  Fixture fx(73, 1);
-  std::string fastq = dibella::io::to_fastq(fx.reads);
-  dibella::core::PipelineConfig cfg;
-  cfg.assumed_error_rate = 0.12;
-  cfg.assumed_coverage = 20.0;
-
-  const int P = 4;
-  dibella::comm::World world(P);
-  std::vector<dibella::netsim::RankTrace> traces(static_cast<std::size_t>(P));
-  std::vector<dibella::io::Read> loaded;
-  world.run([&](dibella::comm::Communicator& comm) {
-    dibella::core::StageContext ctx{comm, traces[static_cast<std::size_t>(comm.rank())]};
-    ctx.attach();
-    auto reads = dibella::io::load_fastq_parallel(ctx, fastq);
-    if (comm.rank() == 0) loaded = std::move(reads);
-  });
-  auto out_loaded = run_pipeline(world, loaded, cfg);
-  auto out_direct = run_pipeline(world, fx.reads, cfg);
-  ASSERT_EQ(out_loaded.alignments.size(), out_direct.alignments.size());
-  for (std::size_t i = 0; i < out_loaded.alignments.size(); ++i) {
-    EXPECT_EQ(out_loaded.alignments[i].score, out_direct.alignments[i].score);
   }
 }
