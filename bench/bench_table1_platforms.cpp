@@ -50,7 +50,8 @@ int main() {
   }
   util::Table m({"platform", "alltoallv (1MB/peer, 8 nodes)", "first-call (s)"});
   for (const auto& p : platforms) {
-    netsim::CostModel model(p, netsim::Topology{nodes, rpn});
+    // Exchange time only: no compute is priced, so no calibration is needed.
+    netsim::CostModel model(p, netsim::Topology{nodes, rpn}, netsim::KernelCosts{});
     m.start_row();
     m.cell(p.name);
     m.cell(model.exchange_time(call, false), 3);

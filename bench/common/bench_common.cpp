@@ -1,6 +1,5 @@
 #include "common/bench_common.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -16,7 +15,7 @@ namespace {
 // ---- on-disk cache of ScalingRun vectors --------------------------------
 // A simple versioned little-endian binary format; bump kCacheVersion when
 // any serialized structure changes.
-constexpr u64 kCacheVersion = 4;
+constexpr u64 kCacheVersion = 5;
 
 void put_u64(std::ostream& os, u64 v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -25,6 +24,20 @@ u64 get_u64(std::istream& is) {
   u64 v = 0;
   is.read(reinterpret_cast<char*>(&v), sizeof(v));
   return v;
+}
+void put_work(std::ostream& os, const netsim::Work& w) {
+  for (u64 v : {w.kmers_parsed, w.bloom_inserts, w.table_inserts, w.keys_traversed,
+                w.pairs_consolidated, w.dp_cells, w.bytes_copied, w.graph_probes}) {
+    put_u64(os, v);
+  }
+}
+netsim::Work get_work(std::istream& is) {
+  netsim::Work w;
+  for (u64* v : {&w.kmers_parsed, &w.bloom_inserts, &w.table_inserts, &w.keys_traversed,
+                 &w.pairs_consolidated, &w.dp_cells, &w.bytes_copied, &w.graph_probes}) {
+    *v = get_u64(is);
+  }
+  return w;
 }
 void put_f64(std::ostream& os, double v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -68,7 +81,7 @@ void save_runs(const std::string& path, const std::vector<ScalingRun>& runs) {
       for (const auto& ev : trace.events()) {
         put_u64(os, static_cast<u64>(ev.kind));
         put_str(os, ev.stage);
-        put_f64(os, ev.cpu_seconds);
+        put_work(os, ev.work);
         put_u64(os, ev.working_set_bytes);
         put_u64(os, ev.exchange_seq);
       }
@@ -122,11 +135,11 @@ bool load_runs(const std::string& path, std::vector<ScalingRun>* runs) {
       for (std::size_t e = 0; e < events; ++e) {
         auto kind = static_cast<netsim::TraceEvent::Kind>(get_u64(is));
         std::string stage = get_str(is);
-        double cpu = get_f64(is);
+        netsim::Work work = get_work(is);
         u64 ws = get_u64(is);
         u64 seq = get_u64(is);
         if (kind == netsim::TraceEvent::Kind::kCompute) {
-          trace.add_compute(std::move(stage), cpu, ws);
+          trace.add_work(std::move(stage), work, ws);
         } else if (kind == netsim::TraceEvent::Kind::kExchangeStart) {
           trace.add_exchange_start();
         } else {
@@ -261,57 +274,15 @@ const std::vector<ScalingRun>& run_scaling(const simgen::DatasetPreset& preset,
   }
 
   const auto& reads = dataset(preset);
-  // Warmup: one throwaway run touches every allocation path of the process,
-  // taking first-run page faults and allocator growth out of the measured
-  // CPU times.
-  {
-    static bool warmed = false;
-    if (!warmed) {
-      warmed = true;
-      comm::World warm_world(bench_ranks_per_node());
-      (void)run_pipeline(warm_world, reads, cfg);
-    }
-  }
+  // Work units are exact, so one run per node count gives the same trace
+  // any repetition would.
   std::vector<ScalingRun> runs;
-  // Compute accounting is work-based (core/kernel_costs.hpp) and therefore
-  // deterministic; one repetition suffices. Raise for wall-time studies.
-  const int reps = static_cast<int>(util::env_i64("DIBELLA_BENCH_REPS", 1));
   for (int nodes : bench_node_counts()) {
     ScalingRun run;
     run.nodes = nodes;
     run.ranks = nodes * bench_ranks_per_node();
-    // The pipeline is deterministic, so repeated runs produce structurally
-    // identical traces (same events in the same order) differing only in
-    // measured CPU times. Replace every compute event's time with the
-    // median across repetitions — a per-event noise filter that is far more
-    // robust on oversubscribed hosts than keeping any single run.
-    std::vector<core::PipelineOutput> outs;
-    for (int rep = 0; rep < reps; ++rep) {
-      comm::World world(run.ranks);
-      outs.push_back(run_pipeline(world, reads, cfg));
-    }
-    run.out = std::move(outs.back());
-    outs.pop_back();
-    bool aligned = true;
-    for (const auto& other : outs) {
-      for (std::size_t r = 0; aligned && r < run.out.traces.size(); ++r) {
-        aligned = other.traces[r].events().size() == run.out.traces[r].events().size();
-      }
-    }
-    if (aligned && !outs.empty()) {
-      for (std::size_t r = 0; r < run.out.traces.size(); ++r) {
-        auto& events = run.out.traces[r].mutable_events();
-        for (std::size_t e = 0; e < events.size(); ++e) {
-          if (events[e].kind != netsim::TraceEvent::Kind::kCompute) continue;
-          std::vector<double> samples{events[e].cpu_seconds};
-          for (const auto& other : outs) {
-            samples.push_back(other.traces[r].events()[e].cpu_seconds);
-          }
-          std::sort(samples.begin(), samples.end());
-          events[e].cpu_seconds = samples[samples.size() / 2];
-        }
-      }
-    }
+    comm::World world(run.ranks);
+    run.out = run_pipeline(world, reads, cfg);
     runs.push_back(std::move(run));
     std::fprintf(stderr, "  [bench] %s: %d node(s) done\n", cache_key.c_str(), nodes);
   }

@@ -52,13 +52,13 @@ struct ScalingRun {
   core::PipelineOutput out;
 };
 
-/// Run the pipeline at every node count (ranks = nodes x ranks-per-node).
-/// With DIBELLA_BENCH_REPS > 1, each compute event's CPU time is replaced by
-/// its median across repetitions (suppresses scheduler noise on small hosts).
-/// Results are cached in-process AND on disk under
-/// $DIBELLA_BENCH_CACHE_DIR (default .dibella_bench_cache/) so the figure
-/// binaries that share a workload (Figs 3-9, 12, 13 all use E30 one-seed)
-/// measure once and replay many times. Delete the cache directory (or set
+/// Run the pipeline once at every node count (ranks = nodes x
+/// ranks-per-node). Traces record exact work units, so the run is
+/// deterministic and needs no repetitions. Results are cached in-process
+/// AND on disk under $DIBELLA_BENCH_CACHE_DIR (default
+/// .dibella_bench_cache/) so the figure binaries that share a workload
+/// (Figs 3-9, 12, 13 all use E30 one-seed) measure once and replay many
+/// times. Delete the cache directory (or set
 /// DIBELLA_BENCH_CACHE=0) to force re-measurement.
 const std::vector<ScalingRun>& run_scaling(const simgen::DatasetPreset& preset,
                                            const core::PipelineConfig& cfg,

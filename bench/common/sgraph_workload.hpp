@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "comm/world.hpp"
-#include "core/kernel_costs.hpp"
 #include "core/stage_context.hpp"
 #include "graph/overlap_graph.hpp"
 #include "io/read_store.hpp"
@@ -82,7 +81,7 @@ struct SgraphBenchResult {
   /// reduction, unitig layout — run sequentially, best-of-reps wall. Both
   /// sides time the same raw-records-to-layout job; what stays *outside*
   /// both timed regions is ingest-time setup (read sequences, partition,
-  /// per-rank ReadStores, cost-model calibration), which the old bench
+  /// per-rank ReadStores) and the cost model's replay, which the old bench
   /// folded into the distributed side only.
   double sequential_s = 0;
   /// The same job through the distributed stage + shard finalize over a
@@ -108,7 +107,6 @@ inline SgraphBenchResult measure_sgraph_reduction(const SgraphWorkload& w, int r
                                                   int reps,
                                                   const sgraph::StringGraphConfig& cfg) {
   SgraphBenchResult out;
-  core::KernelCosts::get();  // calibrate outside the timed regions
 
   // --- sequential oracle, timed end to end: classify the raw records, drop
   // contained endpoints, consolidate to the best record per pair

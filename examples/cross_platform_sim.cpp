@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
             " ranks — virtual seconds per stage");
     std::cout << "\n";
   }
-  std::cout << "(virtual seconds: measured per-rank CPU x platform core factor,\n"
-               " plus the alpha-beta network model over recorded exchanges;\n"
-               " see DESIGN.md §2 and netsim/cost_model.hpp)\n";
+  std::cout << "(virtual seconds: per-rank work units x this host's calibrated\n"
+               " kernel costs x platform core factor, plus the alpha-beta network\n"
+               " model over recorded exchanges; see netsim/cost_model.hpp)\n";
   return 0;
 }

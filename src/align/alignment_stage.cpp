@@ -2,7 +2,6 @@
 
 #include "align/chain.hpp"
 #include "align/xdrop.hpp"
-#include "core/kernel_costs.hpp"
 #include "kmer/dna.hpp"
 #include "kmer/kmer.hpp"
 
@@ -13,7 +12,6 @@ std::vector<AlignmentRecord> run_alignment_stage(
     const std::vector<overlap::AlignmentTask>& tasks, const AlignmentStageConfig& cfg,
     AlignmentStageResult* result) {
   ctx.comm.set_stage("align");
-  const auto& costs = core::KernelCosts::get();
   AlignmentStageResult res;
   std::vector<AlignmentRecord> records;
   records.reserve(tasks.size());
@@ -119,11 +117,9 @@ std::vector<AlignmentRecord> run_alignment_stage(
   // Work-based compute accounting: DP cells dominate; reverse-complement
   // construction and read access are byte-copy-bounded. Exact per-rank unit
   // counts preserve the data-dependent load imbalance the paper studies.
-  ctx.trace.add_compute(
-      "align:compute",
-      static_cast<double>(res.dp_cells) * costs.xdrop_per_cell +
-          static_cast<double>(revcomp_bytes + touched_bytes) * costs.per_byte_copy,
-      touched_bytes);
+  ctx.trace.add_work("align:compute",
+                     {.dp_cells = res.dp_cells, .bytes_copied = revcomp_bytes + touched_bytes},
+                     touched_bytes);
 
   if (result) *result = res;
   return records;

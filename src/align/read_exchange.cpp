@@ -4,7 +4,6 @@
 #include <set>
 
 #include "comm/exchanger.hpp"
-#include "core/kernel_costs.hpp"
 
 namespace dibella::align {
 
@@ -25,8 +24,6 @@ ReadExchangeResult run_read_exchange(core::StageContext& ctx, io::ReadStore& sto
   ReadExchangeResult res;
   obs::Span fetch_span = ctx.span("align:read_exchange");
 
-  const auto& costs = core::KernelCosts::get();
-
   // --- collect distinct remote gids, bucketed by owning rank.
   std::vector<std::vector<u64>> requests(static_cast<std::size_t>(P));
   {
@@ -39,9 +36,8 @@ ReadExchangeResult run_read_exchange(core::StageContext& ctx, io::ReadStore& sto
     for (u64 gid : needed) {
       requests[static_cast<std::size_t>(partition.owner_of(gid))].push_back(gid);
     }
-    ctx.trace.add_compute("align:pack",
-                          static_cast<double>(tasks.size()) * costs.pair_consolidate,
-                          tasks.size() * sizeof(overlap::AlignmentTask));
+    ctx.trace.add_work("align:pack", {.pairs_consolidated = tasks.size()},
+                       tasks.size() * sizeof(overlap::AlignmentTask));
   }
 
   comm::Exchanger ex(comm, {cfg.exchange_chunk_bytes, cfg.overlap_comm});
@@ -96,8 +92,7 @@ ReadExchangeResult run_read_exchange(core::StageContext& ctx, io::ReadStore& sto
           packed += packed_dest;
           if (cur < gids.size()) remaining = true;
         }
-        ctx.trace.add_compute("align:pack",
-                              static_cast<double>(packed) * costs.per_byte_copy, packed);
+        ctx.trace.add_work("align:pack", {.bytes_copied = packed}, packed);
         return remaining;
       },
       [&](const comm::RecvBatch& batch) {
@@ -126,9 +121,7 @@ ReadExchangeResult run_read_exchange(core::StageContext& ctx, io::ReadStore& sto
             fetched.push_back(std::move(r));
           }
         }
-        ctx.trace.add_compute("align:cache",
-                              static_cast<double>(batch_bytes) * costs.per_byte_copy,
-                              batch_bytes);
+        ctx.trace.add_work("align:cache", {.bytes_copied = batch_bytes}, batch_bytes);
       });
   store.cache_remote_bulk(std::move(fetched));
   fetch_span.arg("reads", res.reads_requested);

@@ -4,7 +4,6 @@
 #include "bloom/distributed_cardinality.hpp"
 #include "bloom/hyperloglog.hpp"
 #include "comm/exchanger.hpp"
-#include "core/kernel_costs.hpp"
 #include "kmer/occurrence_stream.hpp"
 
 namespace dibella::bloom {
@@ -18,7 +17,6 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
                                  const BloomStageConfig& cfg,
                                  dht::LocalKmerTable& table) {
   auto& comm = ctx.comm;
-  const auto& costs = core::KernelCosts::get();
   comm.set_stage("bloom");
   const int P = comm.size();
   BloomStageResult result;
@@ -53,11 +51,11 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
   result.bloom_bits = filter.bit_count();
 
   // --- memory-bounded streaming pass: pack -> exchange -> local insert.
-  // Compute accounting is work-based (see core/kernel_costs.hpp): the unit
-  // counts are exact, the per-unit costs calibrated on this host. Either
-  // schedule consumes each batch in source-rank order over the same batch
-  // boundaries, so insertions happen in the same global order and the
-  // resulting filter/table are bitwise-identical.
+  // Compute accounting records exact work units (netsim::Work); only the
+  // cost model prices them, and only when a modeled report is asked for.
+  // Either schedule consumes each batch in source-rank order over the same
+  // batch boundaries, so insertions happen in the same global order and
+  // the resulting filter/table are bitwise-identical.
   kmer::OccurrenceStream stream(reads, cfg.k, cfg.sketch);
   comm::Exchanger ex(comm, {cfg.exchange_chunk_bytes, cfg.overlap_comm});
   std::vector<kmer::Kmer> scratch;
@@ -75,9 +73,7 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
         // Parse work is per window scanned, not per seed kept — sketching
         // still rolls every k-mer, it just posts fewer of them.
         const u64 scanned = stream.sketch_stats().windows_scanned - windows_before;
-        ctx.trace.add_compute("bloom:pack",
-                              static_cast<double>(scanned) * costs.parse_per_kmer,
-                              ex.pending_bytes());
+        ctx.trace.add_work("bloom:pack", {.kmers_parsed = scanned}, ex.pending_bytes());
         return more;
       },
       [&](const comm::RecvBatch& batch) {
@@ -93,10 +89,8 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
             ++hits;
           }
         }
-        ctx.trace.add_compute("bloom:local",
-                              static_cast<double>(scratch.size()) * costs.bloom_insert +
-                                  static_cast<double>(hits) * costs.table_insert,
-                              filter.memory_bytes() + table.memory_bytes());
+        ctx.trace.add_work("bloom:local", {.bloom_inserts = scratch.size(), .table_inserts = hits},
+                           filter.memory_bytes() + table.memory_bytes());
       });
 
   result.candidate_keys = table.size();

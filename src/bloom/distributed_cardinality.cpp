@@ -1,6 +1,5 @@
 #include "bloom/distributed_cardinality.hpp"
 
-#include "core/kernel_costs.hpp"
 #include "kmer/parser.hpp"
 
 namespace dibella::bloom {
@@ -9,7 +8,6 @@ CardinalityResult estimate_cardinality_hll(core::StageContext& ctx,
                                            const io::ReadStore& reads, int k,
                                            int precision_bits) {
   auto& comm = ctx.comm;
-  const auto& costs = core::KernelCosts::get();
   comm.set_stage("bloom");
   CardinalityResult result;
 
@@ -23,9 +21,8 @@ CardinalityResult estimate_cardinality_hll(core::StageContext& ctx,
       ++result.local_instances;
     });
   }
-  ctx.trace.add_compute("bloom:pack",
-                        static_cast<double>(result.local_instances) * costs.parse_per_kmer,
-                        sketch.registers().size());
+  ctx.trace.add_work("bloom:pack", {.kmers_parsed = result.local_instances},
+                     sketch.registers().size());
 
   // Combine: every rank contributes its registers; the union sketch is the
   // register-wise max. (Real MPI would use MPI_Allreduce with MPI_MAX.)

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -81,7 +82,8 @@ pipeline:
                               compute (default)
                         off = bulk-synchronous pack -> exchange -> consume
                         Alignments and counters are identical either way;
-                        timings.tsv shows the exposed/hidden exchange split.
+                        with a modeled --platform, timings.tsv shows the
+                        exposed/hidden exchange split.
 
 out-of-core (scaling beyond RAM):
   --blocks=N            split each rank's read partition into N 2-bit packed
@@ -157,7 +159,10 @@ evaluation (ground truth):
                         threshold, or 2000 for --input)
 
 cost model:
-  --platform=NAME       local | cori | edison | titan | aws (default local)
+  --platform=NAME       cori | edison | titan | aws = project the run onto
+                        that machine: print the cost-model table and write
+                        timings.tsv (calibrates this host's kernel costs
+                        once, ~1 s). local (default) = no model.
   --ranks-per-node=N    simulated ranks per node (default min(4, ranks);
                         must divide --ranks)
 
@@ -169,15 +174,14 @@ observability:
                         exchanges. Honored even with --no-output. Outputs are
                         byte-identical with tracing on or off.
   --profile-report      collect spans and print the post-run profile: per-stage
-                        critical path, exposed vs hidden exchange wallclock
-                        cross-checked against the cost model, per-rank load
-                        imbalance, and the hottest spans. Also writes
-                        profile.tsv to --out-dir (unless --no-output).
+                        critical path, exposed vs hidden exchange wallclock,
+                        per-rank load imbalance, and the hottest spans. Also
+                        writes profile.tsv to --out-dir (unless --no-output).
 
 output:
-  --out-dir=DIR         directory for alignments.paf, counters.tsv,
-                        timings.tsv (+ reads.fasta for simulated input)
-                        (default dibella_out)
+  --out-dir=DIR         directory for alignments.paf, counters.tsv
+                        (+ timings.tsv with a modeled --platform, reads.fasta
+                        for simulated input) (default dibella_out)
   --no-output           print to stdout only, write no files
   --help                show this message
 
@@ -675,7 +679,9 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
   }
   cfg.collect_spans = !trace_path.empty() || profile_report;
 
-  const netsim::Platform platform = platform_by_name(args.get("platform", "local"));
+  const std::string platform_name = args.get("platform", "local");
+  const netsim::Platform platform = platform_by_name(platform_name);
+  const bool modeled = platform_name != "local";
 
   out << "k=" << cfg.k << "  m=" << cfg.resolved_max_kmer_count()
       << "  seed policy=" << policy << "  ranks=" << ranks
@@ -721,13 +727,19 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
   print_counters(out, result.counters, ranks, cfg.stage5);
   if (result.eval_ran) print_eval(out, result.eval);
 
-  const netsim::Topology topo{ranks / ranks_per_node, ranks_per_node};
-  const netsim::TimingReport report = result.evaluate(platform, topo);
-  print_timings(out, report, platform, topo);
+  // The cost model projects this run onto a modeled machine. On `local` it
+  // would only restate the run just measured, so it is neither built nor
+  // calibrated there.
+  std::optional<netsim::TimingReport> report;
+  if (modeled) {
+    const netsim::Topology topo{ranks / ranks_per_node, ranks_per_node};
+    report = result.evaluate(platform, topo);
+    print_timings(out, *report, platform, topo);
+  }
 
   obs::ProfileReport profile;
   if (result.span_trace) {
-    profile = obs::build_profile(*result.span_trace, &report);
+    profile = obs::build_profile(*result.span_trace);
     if (profile_report) obs::print_profile(out, profile);
   }
 
@@ -739,7 +751,7 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
     std::filesystem::create_directories(dir, ec);
     if (ec) throw Error("cannot create --out-dir " + dir.string() + ": " + ec.message());
 
-    std::vector<std::string> extras = {kCountersFile, kTimingsFile};
+    std::vector<std::string> extras = {kCountersFile};
     std::ostringstream paf;
     {
       // Stream the merged records (in-memory vector or spill k-way merge —
@@ -753,7 +765,10 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
       result.metrics.dump_tsv(counters);
       write_file(dir / kCountersFile, counters.str());
     }
-    write_file(dir / kTimingsFile, timings_tsv(report));
+    if (report) {
+      write_file(dir / kTimingsFile, timings_tsv(*report));
+      extras.push_back(kTimingsFile);
+    }
     if (profile_report && result.span_trace) {
       std::ostringstream prof;
       obs::write_profile_tsv(prof, profile);

@@ -24,7 +24,7 @@ inline constexpr int kExitCommFailure = 3;
 /// Filenames written inside --out-dir.
 inline constexpr const char* kAlignmentsFile = "alignments.paf";
 inline constexpr const char* kCountersFile = "counters.tsv";
-inline constexpr const char* kTimingsFile = "timings.tsv";
+inline constexpr const char* kTimingsFile = "timings.tsv";  ///< modeled --platform only
 inline constexpr const char* kReadsFile = "reads.fasta";  ///< simulated runs only
 inline constexpr const char* kTruthFile = "reads.truth.tsv";  ///< simulated runs only
 inline constexpr const char* kGfaFile = "graph.gfa";      ///< stage 5 (default --gfa path)

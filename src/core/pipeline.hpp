@@ -7,9 +7,9 @@
 /// transitive reduction, and unitig/GFA layout (src/sgraph/).
 ///
 /// The pipeline produces (a) the alignment records, (b) aggregated stage
-/// counters, and (c) the raw per-rank traces + exchange records that the
-/// netsim cost model replays to obtain platform-scaled timings for the
-/// paper's figures.
+/// counters, and (c) the raw per-rank traces (exact work units) + exchange
+/// records that the netsim cost model replays, on request, to obtain
+/// platform-scaled timings for the paper's figures.
 
 #include <memory>
 #include <vector>
@@ -120,8 +120,9 @@ struct PipelineOutput {
   bool eval_ran = false;
   eval::EvalReport eval;
 
-  /// Per-rank alignment-stage virtual seconds under a cost model — the Fig 8
-  /// load-imbalance input.
+  /// Price the traces under a cost model: per-stage virtual seconds and the
+  /// per-rank stage seconds behind the Fig 8 load-imbalance metric. Uses this
+  /// host's calibrated kernel costs, measured on the first call in a process.
   netsim::TimingReport evaluate(const netsim::Platform& platform,
                                 const netsim::Topology& topology) const;
 

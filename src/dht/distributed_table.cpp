@@ -2,7 +2,6 @@
 
 #include "bloom/distributed_bloom.hpp"  // kmer_owner: same routing as stage 1
 #include "comm/exchanger.hpp"
-#include "core/kernel_costs.hpp"
 #include "kmer/occurrence_stream.hpp"
 
 namespace dibella::dht {
@@ -12,7 +11,6 @@ HashTableStageResult run_hashtable_stage(core::StageContext& ctx,
                                          const HashTableStageConfig& cfg,
                                          LocalKmerTable& table) {
   auto& comm = ctx.comm;
-  const auto& costs = core::KernelCosts::get();
   comm.set_stage("ht");
   const int P = comm.size();
   HashTableStageResult result;
@@ -43,9 +41,7 @@ HashTableStageResult run_hashtable_stage(core::StageContext& ctx,
         // As in stage 1: parse work scales with windows scanned, not with
         // the (sketched) subset that gets posted.
         const u64 scanned = stream.sketch_stats().windows_scanned - windows_before;
-        ctx.trace.add_compute("ht:pack",
-                              static_cast<double>(scanned) * costs.parse_per_kmer,
-                              ex.pending_bytes());
+        ctx.trace.add_work("ht:pack", {.kmers_parsed = scanned}, ex.pending_bytes());
         return more;
       },
       [&](const comm::RecvBatch& batch) {
@@ -58,9 +54,7 @@ HashTableStageResult run_hashtable_stage(core::StageContext& ctx,
           ReadOccurrence occ{inst.rid, inst.pos, inst.is_forward};
           if (table.add_occurrence(inst.km, occ)) ++result.inserted_occurrences;
         }
-        ctx.trace.add_compute("ht:local",
-                              static_cast<double>(scratch.size()) * costs.table_insert,
-                              table.memory_bytes());
+        ctx.trace.add_work("ht:local", {.table_inserts = scratch.size()}, table.memory_bytes());
       });
 
   // Purge: false-positive singletons and high-frequency k-mers (> m). The
@@ -69,9 +63,7 @@ HashTableStageResult run_hashtable_stage(core::StageContext& ctx,
   obs::Span purge_span = ctx.span("ht:purge");
   purge_span.arg("keys", keys_before);
   result.purged_keys = table.purge_outside(cfg.min_count, cfg.max_count);
-  ctx.trace.add_compute("ht:local",
-                        static_cast<double>(keys_before) * costs.table_traverse,
-                        table.memory_bytes());
+  ctx.trace.add_work("ht:local", {.keys_traversed = keys_before}, table.memory_bytes());
   result.retained_keys = table.size();
   return result;
 }

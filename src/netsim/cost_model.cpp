@@ -38,8 +38,8 @@ const StageTiming& TimingReport::stage(const std::string& name) const {
   return it->second;
 }
 
-CostModel::CostModel(Platform platform, Topology topology)
-    : platform_(std::move(platform)), topology_(topology) {
+CostModel::CostModel(Platform platform, Topology topology, const KernelCosts& costs)
+    : platform_(std::move(platform)), topology_(topology), costs_(costs) {
   DIBELLA_CHECK(topology_.nodes >= 1 && topology_.ranks_per_node >= 1,
                 "CostModel: invalid topology");
 }
@@ -185,7 +185,7 @@ TimingReport CostModel::evaluate(
         if (ev.kind == TraceEvent::Kind::kExchangeStart) {
           in_flight = true;
         } else {
-          double virt = ev.cpu_seconds * compute_scale(ev.working_set_bytes);
+          double virt = costs_.seconds(ev.work) * compute_scale(ev.working_set_bytes);
           mine[ev.stage] += virt;
           if (in_flight) window += virt;
         }
@@ -250,21 +250,6 @@ TimingReport CostModel::evaluate(
       rank_stage_slot(stage)[static_cast<std::size_t>(r)] +=
           per_rank_secs[static_cast<std::size_t>(r)];
     }
-  }
-
-  // Measured per-rank CPU maxima per top-level stage.
-  std::map<std::string, std::vector<double>> cpu_by_stage;
-  for (int r = 0; r < P; ++r) {
-    for (const auto& ev : traces[static_cast<std::size_t>(r)].events()) {
-      if (ev.kind != TraceEvent::Kind::kCompute) continue;
-      auto& v = cpu_by_stage.try_emplace(top_level_stage(ev.stage),
-                                         static_cast<std::size_t>(P), 0.0)
-                    .first->second;
-      v[static_cast<std::size_t>(r)] += ev.cpu_seconds;
-    }
-  }
-  for (auto& [stage, v] : cpu_by_stage) {
-    touch_stage(stage).compute_cpu_max = *std::max_element(v.begin(), v.end());
   }
 
   return report;

@@ -5,9 +5,9 @@
 /// per-stage timings the figure benches report.
 ///
 /// Model summary (parameters in platform.hpp):
-///  * Compute: measured thread-CPU seconds x core_time_factor x
-///    cache_penalty(working_set / per-rank cache share). BSP semantics —
-///    each superstep costs the max over ranks.
+///  * Compute: each segment's work units priced by KernelCosts, x
+///    core_time_factor x cache_penalty(working_set / per-rank cache share).
+///    BSP semantics — each superstep costs the max over ranks.
 ///  * Exchange (alltoallv and friends): per rank r,
 ///        t_r = sum_msgs latency + max(send_inter, recv_inter)/bw_rank
 ///              + (send_intra + recv_intra)/intra_bw
@@ -25,12 +25,13 @@
 #include <vector>
 
 #include "comm/exchange_record.hpp"
+#include "netsim/kernel_costs.hpp"
 #include "netsim/platform.hpp"
 #include "netsim/rank_trace.hpp"
 
 namespace dibella::netsim {
 
-/// Simulated + measured timing for one pipeline stage.
+/// Simulated (plus measured exchange wall) timing for one pipeline stage.
 struct StageTiming {
   double compute_virtual = 0.0;   ///< platform-scaled compute (BSP max per superstep)
   double exchange_virtual = 0.0;  ///< modeled exchange time (full, as if exposed)
@@ -40,7 +41,6 @@ struct StageTiming {
   /// exchange was in flight; a blocking collective is fully exposed. Always
   /// <= exchange_virtual, equal when nothing overlaps.
   double exchange_exposed_virtual = 0.0;
-  double compute_cpu_max = 0.0;   ///< measured per-rank CPU seconds, max over ranks
   double exchange_wall_max = 0.0; ///< measured wall blocked in collectives (max over ranks per call)
   u64 exchange_bytes = 0;         ///< total bytes over all ranks and calls
   u64 exchange_calls = 0;         ///< number of collectives attributed to this stage
@@ -79,7 +79,10 @@ std::string top_level_stage(const std::string& stage);
 
 class CostModel {
  public:
-  CostModel(Platform platform, Topology topology);
+  /// `costs` prices the traces' work units; the default is this host's
+  /// calibrated instance, measured on first use (KernelCosts::get()).
+  CostModel(Platform platform, Topology topology,
+            const KernelCosts& costs = KernelCosts::get());
 
   const Platform& platform() const { return platform_; }
   const Topology& topology() const { return topology_; }
@@ -104,6 +107,7 @@ class CostModel {
  private:
   Platform platform_;
   Topology topology_;
+  KernelCosts costs_;
 };
 
 }  // namespace dibella::netsim

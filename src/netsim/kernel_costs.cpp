@@ -1,4 +1,4 @@
-#include "core/kernel_costs.hpp"
+#include "netsim/kernel_costs.hpp"
 
 #include <algorithm>
 #include <cstring>
@@ -11,7 +11,7 @@
 #include "util/random.hpp"
 #include "util/timer.hpp"
 
-namespace dibella::core {
+namespace dibella::netsim {
 
 namespace {
 
@@ -187,9 +187,20 @@ KernelCosts measure() {
 
 }  // namespace
 
+double KernelCosts::seconds(const Work& w) const {
+  return static_cast<double>(w.kmers_parsed) * parse_per_kmer +
+         static_cast<double>(w.bloom_inserts) * bloom_insert +
+         static_cast<double>(w.table_inserts) * table_insert +
+         static_cast<double>(w.keys_traversed) * table_traverse +
+         static_cast<double>(w.pairs_consolidated) * pair_consolidate +
+         static_cast<double>(w.dp_cells) * xdrop_per_cell +
+         static_cast<double>(w.bytes_copied) * per_byte_copy +
+         static_cast<double>(w.graph_probes) * graph_probe;
+}
+
 const KernelCosts& KernelCosts::get() {
   static const KernelCosts costs = measure();
   return costs;
 }
 
-}  // namespace dibella::core
+}  // namespace dibella::netsim

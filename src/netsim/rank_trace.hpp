@@ -5,6 +5,10 @@
 /// the cost model replays traces superstep-by-superstep to produce
 /// platform-scaled stage timings (BSP semantics: a superstep's duration is
 /// the max over ranks).
+///
+/// A compute segment records exact work units, never seconds: pricing them
+/// is the cost model's job (netsim/kernel_costs.hpp), so a run that asks for
+/// no modeled report never measures kernel costs at all.
 
 #include <string>
 #include <vector>
@@ -12,6 +16,19 @@
 #include "util/common.hpp"
 
 namespace dibella::netsim {
+
+/// Exact work units of one compute segment. One field per kernel, in the
+/// order of the per-unit prices in KernelCosts.
+struct Work {
+  u64 kmers_parsed = 0;        ///< rolling canonical parse + buffer push
+  u64 bloom_inserts = 0;       ///< Bloom filter test_and_insert calls
+  u64 table_inserts = 0;       ///< hash table insert/add_occurrence calls
+  u64 keys_traversed = 0;      ///< hash table keys visited by a scan
+  u64 pairs_consolidated = 0;  ///< tasks/records grouped by read pair
+  u64 dp_cells = 0;            ///< x-drop DP cells
+  u64 bytes_copied = 0;        ///< bulk byte marshalling
+  u64 graph_probes = 0;        ///< transitive-reduction witness lookups
+};
 
 /// One element of a rank's trace.
 ///
@@ -27,7 +44,7 @@ struct TraceEvent {
 
   // kCompute fields:
   std::string stage;           ///< pipeline stage tag, may contain a ":sub" suffix
-  double cpu_seconds = 0.0;    ///< measured thread-CPU time of the segment
+  Work work;                   ///< exact work units of the segment
   u64 working_set_bytes = 0;   ///< approximate bytes touched (cache model input)
 
   // kExchange fields:
@@ -37,12 +54,12 @@ struct TraceEvent {
 /// Ordered trace of one rank's execution.
 class RankTrace {
  public:
-  /// Record a compute segment (CPU seconds measured with the thread clock).
-  void add_compute(std::string stage, double cpu_seconds, u64 working_set_bytes) {
+  /// Record a compute segment as its exact work units.
+  void add_work(std::string stage, const Work& work, u64 working_set_bytes) {
     TraceEvent ev;
     ev.kind = TraceEvent::Kind::kCompute;
     ev.stage = std::move(stage);
-    ev.cpu_seconds = cpu_seconds;
+    ev.work = work;
     ev.working_set_bytes = working_set_bytes;
     events_.push_back(std::move(ev));
   }
@@ -65,19 +82,6 @@ class RankTrace {
   }
 
   const std::vector<TraceEvent>& events() const { return events_; }
-  /// Mutable access for post-processing (e.g. replacing measured CPU times
-  /// with medians across repeated runs in benchmark harnesses).
-  std::vector<TraceEvent>& mutable_events() { return events_; }
-  void clear() { events_.clear(); }
-
-  /// Total measured CPU seconds across all compute segments.
-  double total_cpu_seconds() const {
-    double s = 0.0;
-    for (const auto& ev : events_) {
-      if (ev.kind == TraceEvent::Kind::kCompute) s += ev.cpu_seconds;
-    }
-    return s;
-  }
 
   /// Number of exchange events in the trace.
   std::size_t exchange_count() const {

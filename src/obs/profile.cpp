@@ -39,8 +39,7 @@ double StageProfile::exposed_max_s() const {
 }
 double StageProfile::hidden_max_s() const { return max_of(rank_hidden_s); }
 
-ProfileReport build_profile(const Trace& trace, const netsim::TimingReport* model,
-                            std::size_t top_k) {
+ProfileReport build_profile(const Trace& trace, std::size_t top_k) {
   ProfileReport rep;
   rep.ranks = trace.ranks();
   rep.unclosed_spans = trace.unclosed_spans();
@@ -136,11 +135,6 @@ ProfileReport build_profile(const Trace& trace, const netsim::TimingReport* mode
     sp.wall_mean_s = rep.ranks > 0 ? sum / rep.ranks : 0.0;
     rep.critical_path_s += sp.wall_max_s;
     rep.balanced_path_s += sp.wall_mean_s;
-    if (model && model->has_stage(sp.name)) {
-      const netsim::StageTiming& t = model->stage(sp.name);
-      sp.model_exposed_s = t.exchange_exposed_virtual;
-      sp.model_hidden_s = t.exchange_hidden_virtual();
-    }
   }
 
   rep.hottest.reserve(agg.size());
@@ -175,10 +169,6 @@ void write_profile_tsv(std::ostream& os, const ProfileReport& rep) {
     row("stage", sp.name, "crit_rank", std::to_string(sp.crit_rank));
     row("stage", sp.name, "exchange_exposed_wall_s", fmt_s(sp.exposed_max_s()));
     row("stage", sp.name, "exchange_hidden_wall_s", fmt_s(sp.hidden_max_s()));
-    if (sp.model_exposed_s >= 0.0) {
-      row("stage", sp.name, "model_exposed_virtual_s", fmt_s(sp.model_exposed_s));
-      row("stage", sp.name, "model_hidden_virtual_s", fmt_s(sp.model_hidden_s));
-    }
   }
   for (const StageProfile& sp : rep.stages) {
     for (int r = 0; r < rep.ranks; ++r) {
@@ -198,7 +188,7 @@ void write_profile_tsv(std::ostream& os, const ProfileReport& rep) {
 
 void print_profile(std::ostream& os, const ProfileReport& rep) {
   util::Table stages({"stage", "wall max (s)", "mean (s)", "imbal", "crit rank",
-                      "exposed (s)", "hidden (s)", "model exp (s)"});
+                      "exposed (s)", "hidden (s)"});
   for (const StageProfile& sp : rep.stages) {
     stages.start_row();
     stages.cell(sp.name);
@@ -208,11 +198,6 @@ void print_profile(std::ostream& os, const ProfileReport& rep) {
     stages.cell(static_cast<u64>(sp.crit_rank));
     stages.cell(sp.exposed_max_s(), 4);
     stages.cell(sp.hidden_max_s(), 4);
-    if (sp.model_exposed_s >= 0.0) {
-      stages.cell(sp.model_exposed_s, 4);
-    } else {
-      stages.cell("-");
-    }
   }
   stages.start_row();
   stages.cell("critical path");
@@ -220,7 +205,6 @@ void print_profile(std::ostream& os, const ProfileReport& rep) {
   stages.cell(rep.balanced_path_s, 4);
   stages.cell(rep.balanced_path_s > 0.0 ? rep.critical_path_s / rep.balanced_path_s : 1.0,
               2);
-  stages.cell("");
   stages.cell("");
   stages.cell("");
   stages.cell("");

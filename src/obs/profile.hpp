@@ -13,8 +13,7 @@
 ///     walls (1.0 = perfect), plus which rank was critical;
 ///   * exposed vs hidden exchange wallclock per stage — exposed is time
 ///     blocked in wait()/blocking collectives, hidden is the flush->wait
-///     in-flight window — cross-checked against the netsim cost model's
-///     *virtual* exposed/hidden split when a TimingReport is supplied;
+///     in-flight window;
 ///   * top-k hottest span names by aggregate duration across all ranks.
 ///
 /// profile.tsv is schema-versioned (`#schema=2`) with fixed columns
@@ -27,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "netsim/cost_model.hpp"
 #include "obs/span.hpp"
 
 namespace dibella::obs {
@@ -49,11 +47,6 @@ struct StageProfile {
   double wall_max_s = 0.0;           ///< critical-path contribution
   double wall_mean_s = 0.0;
   int crit_rank = 0;                 ///< argmax rank
-  /// Modeled (virtual) exposed/hidden exchange seconds from the netsim cost
-  /// model, for cross-checking schedule quality; -1 when no model report was
-  /// supplied or the model has no such stage.
-  double model_exposed_s = -1.0;
-  double model_hidden_s = -1.0;
 
   /// max/mean of the per-rank walls; 1.0 = perfectly balanced.
   double imbalance() const {
@@ -75,11 +68,8 @@ struct ProfileReport {
   u64 dropped_events = 0;            ///< ring-overflow losses (profile is partial)
 };
 
-/// Distill `trace` (finalized) into a report. `model`, when non-null, fills
-/// the per-stage model_exposed_s/model_hidden_s cross-check columns.
-ProfileReport build_profile(const Trace& trace,
-                            const netsim::TimingReport* model = nullptr,
-                            std::size_t top_k = 10);
+/// Distill `trace` (finalized) into a report.
+ProfileReport build_profile(const Trace& trace, std::size_t top_k = 10);
 
 /// The profile.tsv artifact: `#schema=2`, `section\tkey\tmetric\tvalue`.
 void write_profile_tsv(std::ostream& os, const ProfileReport& report);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "comm/exchanger.hpp"
-#include "core/kernel_costs.hpp"
 #include "util/radix_sort.hpp"
 
 namespace dibella::overlap {
@@ -141,8 +140,6 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
   comm.set_stage("overlap");
   OverlapStageResult res;
 
-  const auto& costs = core::KernelCosts::get();
-
   // --- Algorithm 1: traverse the partition, form all pairs per key, route
   // each task to the owner of one of its reads.
   comm::Exchanger ex(comm, {cfg.exchange_chunk_bytes, cfg.overlap_comm});
@@ -196,10 +193,9 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
         span.arg("keys", res.retained_kmers - keys_before);
         span.arg("tasks", res.pair_tasks_formed - formed_before);
         u64 posted = (res.pair_tasks_formed - formed_before) * sizeof(OverlapTaskWire);
-        ctx.trace.add_compute(
+        ctx.trace.add_work(
             "overlap:traverse",
-            static_cast<double>(res.retained_kmers - keys_before) * costs.table_traverse +
-                static_cast<double>(posted) * costs.per_byte_copy,
+            {.keys_traversed = res.retained_kmers - keys_before, .bytes_copied = posted},
             table.memory_bytes() + posted);
         return slot_cursor < table.capacity();
       },
@@ -209,11 +205,8 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
         // the accumulation copy happens here.
         std::size_t at = incoming.size();
         batch.append_to(incoming);
-        ctx.trace.add_compute(
-            "overlap:recv",
-            static_cast<double>(incoming.size() - at) * sizeof(OverlapTaskWire) *
-                costs.per_byte_copy,
-            (incoming.size() - at) * sizeof(OverlapTaskWire));
+        const u64 received = (incoming.size() - at) * sizeof(OverlapTaskWire);
+        ctx.trace.add_work("overlap:recv", {.bytes_copied = received}, received);
       });
 
   // --- consolidate per-pair seed lists, then apply the seed policy.
@@ -222,10 +215,8 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
   consolidate_span.arg("wire_tasks", incoming.size());
   std::vector<AlignmentTask> tasks =
       consolidate_tasks(std::move(incoming), cfg.seed_filter, &res);
-  ctx.trace.add_compute(
-      "overlap:consolidate",
-      static_cast<double>(res.pair_tasks_received) * costs.pair_consolidate,
-      received_bytes);
+  ctx.trace.add_work("overlap:consolidate", {.pairs_consolidated = res.pair_tasks_received},
+                     received_bytes);
 
   if (result) *result = res;
   return tasks;

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "comm/exchanger.hpp"
-#include "core/kernel_costs.hpp"
 #include "sgraph/csr.hpp"
 
 namespace dibella::sgraph {
@@ -93,7 +92,6 @@ std::vector<std::vector<u8>> exchange_byte_streams(
   auto& comm = ctx.comm;
   const int P = comm.size();
   const std::size_t self = static_cast<std::size_t>(comm.rank());
-  const auto& costs = core::KernelCosts::get();
   // The self payload never needs the wire: hand it over directly and send
   // this rank an empty stream (the collective shape — one deposit per
   // (src, dst) pair — is preserved, the bytes just don't round-trip through
@@ -109,17 +107,15 @@ std::vector<std::vector<u8>> exchange_byte_streams(
         u64 before = ex.pending_bytes();
         bool more = comm::post_slices(ex, outbound, cursors, cfg.batch_bytes);
         u64 packed = ex.pending_bytes() - before;
-        ctx.trace.add_compute(pack_tag, static_cast<double>(packed) * costs.per_byte_copy,
-                              packed);
+        ctx.trace.add_work(pack_tag, {.bytes_copied = packed}, packed);
         return more;
       },
       [&](const comm::RecvBatch& batch) {
         for (int s = 0; s < P; ++s) {
           batch.append_from(s, per_source[static_cast<std::size_t>(s)]);
         }
-        ctx.trace.add_compute(consume_tag,
-                              static_cast<double>(batch.bytes.size()) * costs.per_byte_copy,
-                              batch.bytes.size());
+        ctx.trace.add_work(consume_tag, {.bytes_copied = batch.bytes.size()},
+                           batch.bytes.size());
       });
   per_source[self] = std::move(self_stream);
   return per_source;
@@ -211,7 +207,6 @@ StringGraphShard run_string_graph_stage(
   comm.set_stage("sgraph");
   const int P = comm.size();
   const auto& partition = store.partition();
-  const auto& costs = core::KernelCosts::get();
   StringGraphStageResult res;
   StringGraphShard shard;
 
@@ -265,9 +260,8 @@ StringGraphShard run_string_graph_stage(
   }
   classify_span.arg("records", res.records_in);
   classify_span.close();
-  ctx.trace.add_compute("sgraph:classify",
-                        static_cast<double>(res.records_in) * costs.pair_consolidate,
-                        res.records_in * sizeof(align::AlignmentRecord));
+  ctx.trace.add_work("sgraph:classify", {.pairs_consolidated = res.records_in},
+                     res.records_in * sizeof(align::AlignmentRecord));
 
   // --- (2) fused exchange round: one framed payload per peer carries this
   // rank's contained gid set (every peer needs it: a read contained per one
@@ -478,9 +472,8 @@ StringGraphShard run_string_graph_stage(
       }
     }
   }
-  ctx.trace.add_compute("sgraph:build",
-                        static_cast<double>(incident.size()) * costs.pair_consolidate,
-                        incident.size() * sizeof(DovetailEdge));
+  ctx.trace.add_work("sgraph:build", {.pairs_consolidated = incident.size()},
+                     incident.size() * sizeof(DovetailEdge));
 
   // --- (4) ghost exchange: ship each owned vertex's adjacency to every
   // rank owning one of its neighbours, framed as (gid, deg, [col, ov]*).
@@ -558,9 +551,8 @@ StringGraphShard run_string_graph_stage(
     csr_span.arg("rows", adj.rows());
     csr_span.arg("nonzeros", adj.nonzeros());
     csr_span.close();
-    ctx.trace.add_compute("sgraph:csr",
-                          static_cast<double>(adj.nonzeros()) * costs.pair_consolidate,
-                          adj.nonzeros() * sizeof(CsrEntry));
+    ctx.trace.add_work("sgraph:csr", {.pairs_consolidated = adj.nonzeros()},
+                       adj.nonzeros() * sizeof(CsrEntry));
   }
 
   // --- (5) transitive reduction as a masked CSR semiring product: one
@@ -593,9 +585,8 @@ StringGraphShard run_string_graph_stage(
   res.edges_surviving = shard.surviving_edges.size();
   reduce_span.arg("probes", res.triangle_probes);
   reduce_span.close();
-  ctx.trace.add_compute("sgraph:reduce",
-                        static_cast<double>(res.triangle_probes) * costs.graph_probe,
-                        incident.size() * sizeof(DovetailEdge));
+  ctx.trace.add_work("sgraph:reduce", {.graph_probes = res.triangle_probes},
+                     incident.size() * sizeof(DovetailEdge));
 
   // --- (6) distributed unitig walk: compress this rank's owned slice of
   // the reduced graph into terminals + interior runs + fully-owned cycles.
@@ -609,9 +600,8 @@ StringGraphShard run_string_graph_stage(
     walk_span.close();
     u64 reduced_vertices = 0;
     for (const auto& row : reduced) reduced_vertices += row.empty() ? 0 : 1;
-    ctx.trace.add_compute("sgraph:walk",
-                          static_cast<double>(reduced_vertices) * costs.pair_consolidate,
-                          reduced_vertices * sizeof(u64));
+    ctx.trace.add_work("sgraph:walk", {.pairs_consolidated = reduced_vertices},
+                       reduced_vertices * sizeof(u64));
   }
 
   if (result) *result = res;

@@ -132,6 +132,18 @@ TEST_F(CliSmoke, TinySimulatedGenomeEndToEnd) {
       dibella::io::load_file((dir_ / dibella::cli::kReadsFile).string()));
   EXPECT_GT(reads.size(), 0u);
 
+  // The human-readable report made it to stdout. The default `local`
+  // platform builds no cost model: no timing table, no timings.tsv.
+  EXPECT_NE(r.out.find("diBELLA pipeline on 2 ranks"), std::string::npos);
+  EXPECT_EQ(r.out.find("cost model:"), std::string::npos);
+  EXPECT_FALSE(fs::exists(dir_ / dibella::cli::kTimingsFile));
+}
+
+TEST_F(CliSmoke, ModeledPlatformWritesCostModelReport) {
+  DriverResult r = run_driver(
+      {"--preset=tiny", "--ranks=2", "--platform=cori", "--out-dir=" + dir_.string()});
+  ASSERT_EQ(r.exit_code, dibella::cli::kExitOk) << r.err;
+
   // The cost-model report has the four pipeline stages plus a total row;
   // schema 2 prepends a `#schema=` version line the loader skips.
   const std::string timings_raw =
@@ -144,8 +156,6 @@ TEST_F(CliSmoke, TinySimulatedGenomeEndToEnd) {
   double total_virtual = std::strtod(split(timing_lines.back(), '\t')[3].c_str(), nullptr);
   EXPECT_GT(total_virtual, 0.0);
 
-  // The human-readable report made it to stdout.
-  EXPECT_NE(r.out.find("diBELLA pipeline on 2 ranks"), std::string::npos);
   EXPECT_NE(r.out.find("cost model:"), std::string::npos);
 }
 
@@ -212,7 +222,9 @@ TEST(CliUsage, IndivisibleRanksPerNodeIsAUsageError) {
 
 TEST(CliUsage, DefaultRanksPerNodeDividesAnyRankCount) {
   // --ranks=6 with no --ranks-per-node must not trip the divisibility check.
-  DriverResult r = run_driver({"--preset=tiny", "--ranks=6", "--no-output"});
+  // The resolved topology shows in the cost-model table's title.
+  DriverResult r =
+      run_driver({"--preset=tiny", "--ranks=6", "--platform=cori", "--no-output"});
   EXPECT_EQ(r.exit_code, dibella::cli::kExitOk) << r.err;
   EXPECT_NE(r.out.find("3 ranks/node"), std::string::npos) << r.out;
 }
@@ -228,14 +240,15 @@ TEST(CliUsage, MalformedNumericValueIsAUsageError) {
 
 TEST_F(CliSmoke, OverlapCommSchedulesProduceIdenticalOutputs) {
   // --overlap-comm=on vs off: identical alignments.paf and counters.tsv,
-  // and timings.tsv carries the exposed/hidden exchange columns.
+  // and a modeled platform's timings.tsv carries the exposed/hidden
+  // exchange columns.
   fs::path on_dir = dir_ / "on";
   fs::path off_dir = dir_ / "off";
   DriverResult on = run_driver({"--preset=tiny", "--ranks=3", "--overlap-comm=on",
-                                "--out-dir=" + on_dir.string()});
+                                "--platform=cori", "--out-dir=" + on_dir.string()});
   ASSERT_EQ(on.exit_code, dibella::cli::kExitOk) << on.err;
   DriverResult off = run_driver({"--preset=tiny", "--ranks=3", "--overlap-comm=off",
-                                 "--out-dir=" + off_dir.string()});
+                                 "--platform=cori", "--out-dir=" + off_dir.string()});
   ASSERT_EQ(off.exit_code, dibella::cli::kExitOk) << off.err;
 
   EXPECT_EQ(dibella::io::load_file((on_dir / dibella::cli::kAlignmentsFile).string()),

@@ -8,6 +8,7 @@
 #include "comm/communicator.hpp"
 #include "comm/world.hpp"
 #include "netsim/cost_model.hpp"
+#include "netsim/kernel_costs.hpp"
 #include "netsim/platform.hpp"
 #include "netsim/rank_trace.hpp"
 
@@ -16,6 +17,18 @@ namespace dc = dibella::comm;
 using dibella::u64;
 
 namespace {
+
+/// Hand-set prices: one second per DP cell and nothing else priced, so a
+/// segment of n cells models to exactly n seconds (times the platform's
+/// compute scale). Tests never calibrate on the host.
+dn::KernelCosts unit_costs() {
+  dn::KernelCosts c;
+  c.xdrop_per_cell = 1.0;
+  return c;
+}
+const dn::KernelCosts kCosts = unit_costs();
+
+dn::Work cells(u64 n) { return dn::Work{.dp_cells = n}; }
 
 /// Build a P-rank alltoallv record set where rank r sends bytes[r][d] to d.
 std::vector<dc::ExchangeRecord> make_alltoallv(
@@ -69,9 +82,24 @@ TEST(TopLevelStage, StripsSubTag) {
   EXPECT_EQ(dn::top_level_stage(""), "");
 }
 
+TEST(KernelCosts, SecondsIsTheDotProductOfUnitsAndPrices) {
+  dn::KernelCosts c;
+  c.parse_per_kmer = 1.0;
+  c.bloom_insert = 2.0;
+  c.table_insert = 4.0;
+  c.table_traverse = 8.0;
+  c.pair_consolidate = 16.0;
+  c.xdrop_per_cell = 32.0;
+  c.per_byte_copy = 64.0;
+  c.graph_probe = 128.0;
+  EXPECT_DOUBLE_EQ(c.seconds(dn::Work{}), 0.0);
+  EXPECT_DOUBLE_EQ(c.seconds(dn::Work{1, 1, 1, 1, 1, 1, 1, 1}), 255.0);
+  EXPECT_DOUBLE_EQ(c.seconds(dn::Work{.table_inserts = 3, .bytes_copied = 2}), 140.0);
+}
+
 TEST(CostModel, ComputeScaleCacheBehaviour) {
   auto p = dn::cori();
-  dn::CostModel model(p, dn::Topology{1, 32});
+  dn::CostModel model(p, dn::Topology{1, 32}, kCosts);
   double cache_share = p.llc_bytes_per_node / 32.0;
   // Fits in cache: just the core factor.
   EXPECT_DOUBLE_EQ(model.compute_scale(static_cast<u64>(cache_share / 2)),
@@ -83,18 +111,18 @@ TEST(CostModel, ComputeScaleCacheBehaviour) {
   EXPECT_GT(s8, s2);
   EXPECT_LT(s8, p.core_time_factor * p.cache_miss_penalty);
   // Fewer ranks per node -> bigger share -> smaller penalty at equal ws.
-  dn::CostModel spread(p, dn::Topology{32, 1});
+  dn::CostModel spread(p, dn::Topology{32, 1}, kCosts);
   EXPECT_LT(spread.compute_scale(static_cast<u64>(2 * cache_share)), s2);
 }
 
 TEST(CostModel, ComputeScaleDisabledOnLocalHost) {
-  dn::CostModel model(dn::local_host(), dn::Topology{1, 4});
+  dn::CostModel model(dn::local_host(), dn::Topology{1, 4}, kCosts);
   EXPECT_DOUBLE_EQ(model.compute_scale(1u << 30), 1.0);
 }
 
 TEST(CostModel, ExchangeIntraNodeOnly) {
   auto p = dn::cori();
-  dn::CostModel model(p, dn::Topology{1, 2});
+  dn::CostModel model(p, dn::Topology{1, 2}, kCosts);
   // 2 ranks, same node: 1 MB each way.
   auto recs = make_alltoallv({{0, 1'000'000}, {1'000'000, 0}});
   std::vector<double> per_rank;
@@ -106,7 +134,7 @@ TEST(CostModel, ExchangeIntraNodeOnly) {
 
 TEST(CostModel, ExchangeInterNodeUsesNodeBandwidth) {
   auto p = dn::cori();
-  dn::CostModel model(p, dn::Topology{2, 1});
+  dn::CostModel model(p, dn::Topology{2, 1}, kCosts);
   auto recs = make_alltoallv({{0, 8'000'000}, {0, 0}});  // 8 MB rank0 -> rank1
   double t = model.exchange_time(recs, false);
   // One inter-node message: latency + bytes / (node_bw / 1 rank-per-node).
@@ -116,7 +144,7 @@ TEST(CostModel, ExchangeInterNodeUsesNodeBandwidth) {
 
 TEST(CostModel, ExchangeReceiverCanBeBottleneck) {
   auto p = dn::cori();
-  dn::CostModel model(p, dn::Topology{3, 1});
+  dn::CostModel model(p, dn::Topology{3, 1}, kCosts);
   // Ranks 0 and 1 each send 4 MB to rank 2: rank 2's receive side dominates.
   auto recs = make_alltoallv({{0, 0, 4'000'000}, {0, 0, 4'000'000}, {0, 0, 0}});
   std::vector<double> per_rank;
@@ -128,7 +156,7 @@ TEST(CostModel, ExchangeReceiverCanBeBottleneck) {
 
 TEST(CostModel, FirstAlltoallvPaysSetup) {
   auto p = dn::cori();
-  dn::CostModel model(p, dn::Topology{2, 2});
+  dn::CostModel model(p, dn::Topology{2, 2}, kCosts);
   auto recs = make_alltoallv({{0, 10, 10, 10}, {10, 0, 10, 10}, {10, 10, 0, 10}, {10, 10, 10, 0}});
   double plain = model.exchange_time(recs, false);
   double first = model.exchange_time(recs, true);
@@ -137,7 +165,7 @@ TEST(CostModel, FirstAlltoallvPaysSetup) {
 
 TEST(CostModel, BarrierIsLatencyTree) {
   auto p = dn::edison();
-  dn::CostModel model(p, dn::Topology{4, 2});
+  dn::CostModel model(p, dn::Topology{4, 2}, kCosts);
   std::vector<dc::ExchangeRecord> recs(8);
   for (auto& r : recs) {
     r.op = dc::CollectiveOp::kBarrier;
@@ -152,9 +180,9 @@ TEST(CostModel, SlowerNetworkCostsMore) {
   std::vector<std::vector<u64>> bytes(16, std::vector<u64>(16, 4096));
   for (int r = 0; r < 16; ++r) bytes[static_cast<std::size_t>(r)][static_cast<std::size_t>(r)] = 0;
   auto recs = make_alltoallv(bytes);
-  double t_edison = dn::CostModel(dn::edison(), topo).exchange_time(recs, false);
-  double t_cori = dn::CostModel(dn::cori(), topo).exchange_time(recs, false);
-  double t_aws = dn::CostModel(dn::aws(), topo).exchange_time(recs, false);
+  double t_edison = dn::CostModel(dn::edison(), topo, kCosts).exchange_time(recs, false);
+  double t_cori = dn::CostModel(dn::cori(), topo, kCosts).exchange_time(recs, false);
+  double t_aws = dn::CostModel(dn::aws(), topo, kCosts).exchange_time(recs, false);
   EXPECT_LT(t_edison, t_cori);  // Edison's 436 MB/s node bandwidth wins
   EXPECT_LT(t_cori, t_aws);     // commodity cloud network loses
 }
@@ -162,15 +190,15 @@ TEST(CostModel, SlowerNetworkCostsMore) {
 TEST(CostModel, EvaluateAggregatesSuperstepsBspStyle) {
   // Two ranks, one superstep of compute, one exchange, another compute.
   dn::Topology topo{2, 1};
-  dn::CostModel model(dn::local_host(), topo);
+  dn::CostModel model(dn::local_host(), topo, kCosts);
 
   std::vector<dn::RankTrace> traces(2);
-  traces[0].add_compute("alpha", 1.0, 0);
-  traces[1].add_compute("alpha", 3.0, 0);  // slow rank dominates superstep
+  traces[0].add_work("alpha", cells(1), 0);
+  traces[1].add_work("alpha", cells(3), 0);  // slow rank dominates superstep
   traces[0].add_exchange(0);
   traces[1].add_exchange(0);
-  traces[0].add_compute("beta", 2.0, 0);
-  traces[1].add_compute("beta", 1.0, 0);
+  traces[0].add_work("beta", cells(2), 0);
+  traces[1].add_work("beta", cells(1), 0);
 
   std::vector<std::vector<dc::ExchangeRecord>> records(2);
   for (int r = 0; r < 2; ++r) {
@@ -192,7 +220,6 @@ TEST(CostModel, EvaluateAggregatesSuperstepsBspStyle) {
   EXPECT_EQ(report.stage("alpha").exchange_calls, 1u);
   EXPECT_EQ(report.stage("alpha").exchange_bytes, 1000u);
   EXPECT_DOUBLE_EQ(report.stage("alpha").exchange_wall_max, 0.25);
-  EXPECT_DOUBLE_EQ(report.stage("alpha").compute_cpu_max, 3.0);
   // Per-rank times preserved for imbalance metrics.
   ASSERT_EQ(report.per_rank_stage_seconds.at("beta").size(), 2u);
   EXPECT_DOUBLE_EQ(report.per_rank_stage_seconds.at("beta")[0], 2.0);
@@ -207,10 +234,10 @@ TEST(CostModel, EvaluateAggregatesSuperstepsBspStyle) {
 
 TEST(CostModel, EvaluateSubStagesTracked) {
   dn::Topology topo{1, 1};
-  dn::CostModel model(dn::local_host(), topo);
+  dn::CostModel model(dn::local_host(), topo, kCosts);
   std::vector<dn::RankTrace> traces(1);
-  traces[0].add_compute("bloom:pack", 1.0, 0);
-  traces[0].add_compute("bloom:local", 2.0, 0);
+  traces[0].add_work("bloom:pack", cells(1), 0);
+  traces[0].add_work("bloom:local", cells(2), 0);
   std::vector<std::vector<dc::ExchangeRecord>> records(1);
   auto report = model.evaluate(traces, records);
   EXPECT_DOUBLE_EQ(report.stage("bloom").compute_virtual, 3.0);
@@ -222,7 +249,7 @@ TEST(CostModel, EvaluateSubStagesTracked) {
 }
 
 TEST(CostModel, EvaluateRejectsMisalignedTraces) {
-  dn::CostModel model(dn::local_host(), dn::Topology{2, 1});
+  dn::CostModel model(dn::local_host(), dn::Topology{2, 1}, kCosts);
   std::vector<dn::RankTrace> traces(2);
   traces[0].add_exchange(0);  // rank 1 has no exchange: SPMD violation
   std::vector<std::vector<dc::ExchangeRecord>> records(2);
@@ -239,15 +266,17 @@ TEST(CostModel, EndToEndWithRealWorldRecords) {
     comm.set_record_sink(
         [&trace](const dc::ExchangeRecord& rec) { trace.add_exchange(rec.seq); });
     comm.set_stage("work");
-    trace.add_compute("work", 0.001 * (comm.rank() + 1), 1 << 20);
+    trace.add_work("work", cells(static_cast<u64>(comm.rank()) + 1), 1 << 20);
     std::vector<std::vector<u64>> send(P);
     for (int d = 0; d < P; ++d) send[static_cast<std::size_t>(d)].assign(100, 1);
     comm.alltoallv(send);
   });
-  dn::CostModel model(dn::titan(), dn::Topology{2, 2});
+  dn::KernelCosts ms_per_cell = kCosts;
+  ms_per_cell.xdrop_per_cell = 1e-3;
+  dn::CostModel model(dn::titan(), dn::Topology{2, 2}, ms_per_cell);
   auto report = model.evaluate(traces, world.exchange_records());
   ASSERT_TRUE(report.has_stage("work"));
-  // Compute: max cpu = 0.004 scaled by at least the core factor.
+  // Compute: max 4 cells x 1 ms = 0.004 s, scaled by at least the core factor.
   EXPECT_GE(report.stage("work").compute_virtual, 0.004 * dn::titan().core_time_factor * 0.99);
   EXPECT_GT(report.stage("work").exchange_virtual, 0.0);
   // Self-destination bytes are excluded from the records (P-1 wire peers).
@@ -259,11 +288,11 @@ TEST(CostModel, OverlappedExchangeSplitsExposedAndHidden) {
   // other nothing: rank 1's cost is fully exposed, rank 0 hides up to its
   // window. Exposed = max over ranks of (per-rank cost - window).
   dn::Topology topo{2, 1};
-  dn::CostModel model(dn::local_host(), topo);
+  dn::CostModel model(dn::local_host(), topo, kCosts);
 
   std::vector<dn::RankTrace> traces(2);
   traces[0].add_exchange_start();
-  traces[0].add_compute("alpha", 2.0, 0);
+  traces[0].add_work("alpha", cells(2), 0);
   traces[0].add_exchange(0);
   traces[1].add_exchange_start();
   traces[1].add_exchange(0);
@@ -296,10 +325,10 @@ TEST(CostModel, BlockingCollectivesStayFullyExposed) {
   // No start markers -> exposed == full exchange time (the pre-overlap
   // behavior, which the paper-figure benches rely on).
   dn::Topology topo{2, 1};
-  dn::CostModel model(dn::local_host(), topo);
+  dn::CostModel model(dn::local_host(), topo, kCosts);
   std::vector<dn::RankTrace> traces(2);
   for (int r = 0; r < 2; ++r) {
-    traces[static_cast<std::size_t>(r)].add_compute("s", 1.0, 0);
+    traces[static_cast<std::size_t>(r)].add_work("s", cells(1), 0);
     traces[static_cast<std::size_t>(r)].add_exchange(0);
   }
   auto recs = make_alltoallv({{0, 1'000'000}, {1'000'000, 0}});

@@ -416,7 +416,7 @@ TEST(ObsPipeline, ProfileReportCoversStagesAndCriticalPath) {
                 &out);
   ASSERT_TRUE(out.span_trace != nullptr);
   const auto report = out.span_trace
-                          ? obs::build_profile(*out.span_trace, nullptr, 10)
+                          ? obs::build_profile(*out.span_trace, 10)
                           : obs::ProfileReport{};
   EXPECT_EQ(report.ranks, 3);
   ASSERT_EQ(report.stages.size(), 5u);  // bloom, ht, overlap, align, sgraph

@@ -11,6 +11,7 @@
 #include "comm/world.hpp"
 #include "core/output.hpp"
 #include "core/pipeline.hpp"
+#include "netsim/cost_model.hpp"
 #include "netsim/platform.hpp"
 #include "simgen/presets.hpp"
 
@@ -190,6 +191,34 @@ TEST(Pipeline, CostModelEvaluationHasAllStages) {
   // Per-rank alignment times exist for the Fig 8 imbalance metric.
   ASSERT_TRUE(report.per_rank_stage_seconds.count("align"));
   EXPECT_EQ(report.per_rank_stage_seconds.at("align").size(), 8u);
+}
+
+TEST(Pipeline, CostModelPricesExactWorkUnits) {
+  // Stages record exact work units, and only the cost model prices them:
+  // with one second per DP cell and every other price zero, the modeled
+  // compute is the DP-cell counter exactly, and no other stage costs
+  // anything.
+  auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test());
+  auto cfg = tiny_config();
+  cfg.stage5 = true;
+  dibella::comm::World world(1);
+  auto out = run_pipeline(world, sim.reads, cfg);
+  ASSERT_GT(out.counters.dp_cells, 0u);
+
+  dibella::netsim::KernelCosts costs;
+  costs.xdrop_per_cell = 1.0;
+  dibella::netsim::CostModel model(dibella::netsim::local_host(),
+                                   dibella::netsim::Topology{1, 1}, costs);
+  auto report = model.evaluate(out.traces, out.exchange_log);
+  EXPECT_EQ(report.stage("align:compute").compute_virtual,
+            static_cast<double>(out.counters.dp_cells));
+  EXPECT_EQ(report.stage("align").compute_virtual,
+            static_cast<double>(out.counters.dp_cells));
+  ASSERT_EQ(report.stage_order.size(), 5u);  // bloom, ht, overlap, align, sgraph
+  for (const auto& name : report.stage_order) {
+    if (name == "align") continue;
+    EXPECT_EQ(report.stage(name).compute_virtual, 0.0) << name;
+  }
 }
 
 TEST(Pipeline, MoreNodesRaiseExchangeCost) {
