@@ -15,7 +15,7 @@ namespace {
 // ---- on-disk cache of ScalingRun vectors --------------------------------
 // A simple versioned little-endian binary format; bump kCacheVersion when
 // any serialized structure changes.
-constexpr u64 kCacheVersion = 5;
+constexpr u64 kCacheVersion = 6;
 
 void put_u64(std::ostream& os, u64 v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -133,7 +133,11 @@ bool load_runs(const std::string& path, std::vector<ScalingRun>* runs) {
     for (auto& trace : run.out.traces) {
       std::size_t events = get_u64(is);
       for (std::size_t e = 0; e < events; ++e) {
-        auto kind = static_cast<netsim::TraceEvent::Kind>(get_u64(is));
+        const u64 kind_code = get_u64(is);
+        if (kind_code > static_cast<u64>(netsim::TraceEvent::Kind::kExchangeStart)) {
+          return false;  // not a trace event kind: recompute
+        }
+        const auto kind = static_cast<netsim::TraceEvent::Kind>(kind_code);
         std::string stage = get_str(is);
         netsim::Work work = get_work(is);
         u64 ws = get_u64(is);
@@ -152,7 +156,11 @@ bool load_runs(const std::string& path, std::vector<ScalingRun>* runs) {
       log.resize(get_u64(is));
       for (auto& rec : log) {
         rec.seq = get_u64(is);
-        rec.op = static_cast<comm::CollectiveOp>(get_u64(is));
+        const u64 op_code = get_u64(is);
+        if (op_code > static_cast<u64>(comm::CollectiveOp::kExchange)) {
+          return false;  // not a collective kind: recompute
+        }
+        rec.op = static_cast<comm::CollectiveOp>(op_code);
         rec.stage = get_str(is);
         rec.wall_seconds = get_f64(is);
         rec.hidden_wall_seconds = get_f64(is);

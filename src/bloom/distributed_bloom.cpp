@@ -35,7 +35,7 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
     for (u64 g = first; g < first + reads.local_count(); ++g) {
       local_windows += kmer::window_count(reads.local_length(g), cfg.k);
     }
-    u64 total_windows = comm.allreduce_sum(local_windows);
+    u64 total_windows = comm::allreduce_sum(comm, local_windows);
     est_distinct = estimate_distinct_kmers(total_windows, cfg.assumed_error_rate, cfg.k);
   }
   if (cfg.sketch.enabled()) {

@@ -1,5 +1,6 @@
 #include "bloom/distributed_cardinality.hpp"
 
+#include "comm/exchanger.hpp"
 #include "kmer/parser.hpp"
 
 namespace dibella::bloom {
@@ -26,7 +27,7 @@ CardinalityResult estimate_cardinality_hll(core::StageContext& ctx,
 
   // Combine: every rank contributes its registers; the union sketch is the
   // register-wise max. (Real MPI would use MPI_Allreduce with MPI_MAX.)
-  auto all_registers = comm.allgatherv(sketch.registers());
+  auto all_registers = comm::allgatherv(comm, sketch.registers());
   const std::size_t m = sketch.registers().size();
   DIBELLA_CHECK(all_registers.size() % m == 0, "cardinality combine: bad payload");
   HyperLogLog combined(precision_bits);

@@ -19,16 +19,11 @@
 
 namespace dibella::comm {
 
-/// Collective operation kinds (named after their MPI equivalents).
-/// kExchange is the Exchanger's nonblocking batched all-to-all: the same
-/// wire pattern as kAlltoallv, but issued with flush_async()/wait() so the
-/// transfer overlaps local compute.
+/// Collective operation kinds. kBarrier is the World's phase fence and moves
+/// no payload; kExchange is one Exchanger flush/wait — the irregular
+/// all-to-all (MPI_Alltoallv) every payload-moving collective rides,
+/// allgatherv and allreduce_sum included (exchanger.hpp).
 enum class CollectiveOp : u8 {
-  kAlltoallv,
-  kAllgather,
-  kAllreduce,
-  kBroadcast,
-  kGather,
   kBarrier,
   kExchange,
 };
@@ -44,11 +39,11 @@ struct ExchangeRecord {
   double wall_seconds = 0.0;     ///< measured wall time the rank was blocked in the call
   /// Measured wall time between flush_async() and wait() during which the
   /// exchange was in flight while this rank computed (kExchange only; 0 for
-  /// blocking collectives). The cost model's exposed/hidden split is virtual
+  /// the barrier). The cost model's exposed/hidden split is virtual
   /// (trace-derived); this is the measured counterpart.
   double hidden_wall_seconds = 0.0;
   /// Wire chunks this flush put on the mailboxes, peers only (kExchange
-  /// only; blocking collectives are modeled as one message per peer).
+  /// only).
   u64 chunks = 0;
   /// Replay retransmissions this rank requested while receiving this batch
   /// (kExchange only; nonzero only under injected transport faults).

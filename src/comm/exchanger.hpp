@@ -1,9 +1,10 @@
 #pragma once
 /// \file exchanger.hpp
-/// The batched irregular all-to-all every pipeline stage exchanges through:
-/// a chunked exchange with post / flush_async / wait semantics, and
+/// The batched irregular all-to-all every payload crossing ranks travels
+/// through: a chunked exchange with post / flush_async / wait semantics;
 /// run_exchange, the one loop driver that runs a stage's pack/consume pair
-/// under either of two schedules.
+/// under either of two schedules; and the two small collectives the
+/// pipeline needs besides (allgatherv, allreduce_sum), each one flush/wait.
 ///
 /// The schedule is part of the Exchanger's config (`Config::overlap`):
 ///
@@ -257,6 +258,28 @@ bool post_slices(Exchanger& ex, const std::vector<std::vector<T>>& per_dest,
     if (at < v.size()) remaining = true;
   }
   return remaining;
+}
+
+/// MPI_Allgatherv: every rank's `v`, concatenated in rank order. One
+/// flush/wait on a default-config Exchanger, so the payload takes the same
+/// framed, self-healing path as a stage exchange (and counts one collective
+/// for fault injection). Collective.
+template <class T>
+std::vector<T> allgatherv(Communicator& comm, const std::vector<T>& v) {
+  Exchanger ex(comm);
+  for (int d = 0; d < comm.size(); ++d) ex.post(d, v);
+  ex.flush_async(/*done=*/true);
+  std::vector<T> out;
+  ex.wait().append_to(out);
+  return out;
+}
+
+/// MPI_Allreduce(MPI_SUM) of one u64 per rank, summed in rank order. One
+/// allgatherv. Collective.
+inline u64 allreduce_sum(Communicator& comm, u64 v) {
+  u64 sum = 0;
+  for (u64 x : allgatherv(comm, std::vector<u64>{v})) sum += x;
+  return sum;
 }
 
 }  // namespace dibella::comm

@@ -9,12 +9,14 @@
 /// several). `stage` is the pipeline stage tag the communicator is in
 /// (bloom | ht | overlap | align | sgraph), `epoch` is the 0-based index of
 /// a collective operation within that stage on the injecting `rank`
-/// (default rank 0) — every blocking collective and every Exchanger flush
-/// counts one. A spec arms at the first *opportunity* at or after its
-/// epoch: abort faults fire at the matching collective of any kind;
-/// transport faults need an Exchanger flush (the chunked nonblocking path
-/// is the only framed one), so they fire at the stage's first flush at or
-/// after the epoch and require --overlap-comm=on.
+/// (default rank 0) — every barrier and every Exchanger flush counts one,
+/// and every payload-moving collective is an Exchanger flush (a stage's
+/// exchange batches as well as comm::allgatherv / comm::allreduce_sum). A
+/// spec arms at the first *opportunity* at or after its epoch: abort faults
+/// fire at the matching collective of any kind; a transport fault fires at
+/// its exact epoch, or at the stage's next exchange if that epoch is a
+/// barrier (which carries no payload). Both --overlap-comm schedules travel
+/// the same framed path, so both see the same faults.
 ///
 /// Transport faults mangle exactly one wire chunk of the matched flush (the
 /// chunk-0 payload to neighbour (rank+1) % P): dropped, duplicated, delayed,

@@ -8,11 +8,11 @@
 ///  * Compute: each segment's work units priced by KernelCosts, x
 ///    core_time_factor x cache_penalty(working_set / per-rank cache share).
 ///    BSP semantics — each superstep costs the max over ranks.
-///  * Exchange (alltoallv and friends): per rank r,
+///  * Exchange (an Exchanger flush/wait: irregular all-to-all): per rank r,
 ///        t_r = sum_msgs latency + max(send_inter, recv_inter)/bw_rank
 ///              + (send_intra + recv_intra)/intra_bw
 ///    with bw_rank = node injection bandwidth / ranks-per-node; the
-///    collective costs max_r t_r. The first alltoallv additionally pays a
+///    collective costs max_r t_r. The run's first exchange additionally pays a
 ///    per-peer setup cost (the paper's observed first-call anomaly, §6/§10).
 ///  * Barrier: a log2(P)-depth latency tree.
 ///  * Overlap: a nonblocking exchange (kExchangeStart ... kExchange trace
@@ -38,7 +38,8 @@ struct StageTiming {
   /// Modeled exchange time the ranks actually waited for: for a nonblocking
   /// exchange (kExchangeStart ... kExchange trace bracket), each rank's
   /// modeled cost is reduced by the virtual compute it ran while the
-  /// exchange was in flight; a blocking collective is fully exposed. Always
+  /// exchange was in flight; a barrier, or an exchange with no compute in
+  /// its window (a bulk-synchronous superstep), is fully exposed. Always
   /// <= exchange_virtual, equal when nothing overlaps.
   double exchange_exposed_virtual = 0.0;
   double exchange_wall_max = 0.0; ///< measured wall blocked in collectives (max over ranks per call)

@@ -12,7 +12,7 @@
 ///   * per-rank load-imbalance factors: max/mean of the per-rank stage
 ///     walls (1.0 = perfect), plus which rank was critical;
 ///   * exposed vs hidden exchange wallclock per stage — exposed is time
-///     blocked in wait()/blocking collectives, hidden is the flush->wait
+///     blocked in wait() or at a barrier, hidden is the flush->wait
 ///     in-flight window;
 ///   * top-k hottest span names by aggregate duration across all ranks.
 ///

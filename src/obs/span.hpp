@@ -23,7 +23,7 @@
 ///                         flush_async to wait-return (args bytes, chunks,
 ///                         exposed_us, hidden_us, seq)
 ///   exchange:exposed      the blocked portion of wait() (complete event)
-///   collective:<op>       a blocking collective (complete event)
+///   collective:barrier    the phase fence (complete event)
 ///   spill:write / checkpoint:write / checkpoint:read   I/O sections
 ///
 /// Thread safety: each RankTimeline takes a mutex per push, so a rank's

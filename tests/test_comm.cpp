@@ -1,13 +1,17 @@
-// Tests for the comm substrate: the threads-as-ranks World and its
-// MPI-style collectives. These are the MPI-semantics contracts the pipeline
+// Tests for the comm substrate: the threads-as-ranks World, the barrier, the
+// Exchanger every payload travels through, and its allgatherv /
+// allreduce_sum helpers. These are the MPI-semantics contracts the pipeline
 // depends on (see DESIGN.md §2).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <map>
 #include <numeric>
+#include <thread>
 
 #include "comm/communicator.hpp"
 #include "comm/exchanger.hpp"
@@ -78,6 +82,49 @@ TEST(World, ExceptionPropagatesAndSiblingsUnwind) {
   EXPECT_EQ(ok, 1);
 }
 
+namespace {
+
+/// One all-to-all over the Exchanger: send[d] goes to rank d, and the batch
+/// holds every source's payload in source-rank order.
+template <class T>
+dc::RecvBatch all_to_all(dc::Communicator& comm, const std::vector<std::vector<T>>& send) {
+  dc::Exchanger ex(comm);
+  for (int d = 0; d < comm.size(); ++d) ex.post(d, send[static_cast<std::size_t>(d)]);
+  ex.flush_async(/*done=*/true);
+  return ex.wait();
+}
+
+/// Source `src`'s slice of `batch` as items of T.
+template <class T>
+std::vector<T> from_source(const dc::RecvBatch& batch, int src) {
+  std::vector<T> out;
+  batch.append_from(src, out);
+  return out;
+}
+
+}  // namespace
+
+TEST(World, CompletedBarrierReturnsEvenIfARankFailsRightAfter) {
+  // Once every rank has arrived, the barrier has completed for all of them:
+  // a rank that fails right after it must not turn a slower sibling's
+  // wake-up into WorldPoisoned. Work committed after a barrier (the
+  // checkpoint manifest line) relies on that. The race is narrow, so run
+  // it many times.
+  const int P = 4;
+  dc::World world(P, /*barrier_timeout_seconds=*/30.0);
+  for (int iter = 0; iter < 100; ++iter) {
+    std::atomic<int> passed{0};
+    EXPECT_THROW(world.run([&](dc::Communicator& comm) {
+                   comm.barrier();
+                   ++passed;
+                   if (comm.rank() == iter % P) throw dibella::Error("fails after the barrier");
+                   comm.barrier();
+                 }),
+                 dibella::Error);
+    ASSERT_EQ(passed.load(), P) << "iteration " << iter;
+  }
+}
+
 TEST(Comm, AlltoallvDeliversExactPayloads) {
   const int P = 5;
   dc::World world(P);
@@ -91,10 +138,10 @@ TEST(Comm, AlltoallvDeliversExactPayloads) {
             static_cast<u32>(me * 1000 + d * 10 + i));
       }
     }
-    auto recv = comm.alltoallv(send);
-    ASSERT_EQ(recv.size(), static_cast<std::size_t>(P));
+    auto batch = all_to_all(comm, send);
+    ASSERT_EQ(batch.src_offsets.size(), static_cast<std::size_t>(P) + 1);
     for (int s = 0; s < P; ++s) {
-      const auto& v = recv[static_cast<std::size_t>(s)];
+      auto v = from_source<u32>(batch, s);
       ASSERT_EQ(v.size(), static_cast<std::size_t>(me + 1)) << "from " << s;
       for (int i = 0; i <= me; ++i) {
         EXPECT_EQ(v[static_cast<std::size_t>(i)],
@@ -119,9 +166,9 @@ TEST(Comm, AlltoallvRandomizedMatchesReference) {
   dc::World world(P);
   world.run([&](dc::Communicator& comm) {
     int me = comm.rank();
-    auto recv = comm.alltoallv(payload[static_cast<std::size_t>(me)]);
+    auto batch = all_to_all(comm, payload[static_cast<std::size_t>(me)]);
     for (int s = 0; s < P; ++s) {
-      EXPECT_EQ(recv[static_cast<std::size_t>(s)],
+      EXPECT_EQ(from_source<u64>(batch, s),
                 payload[static_cast<std::size_t>(s)][static_cast<std::size_t>(me)]);
     }
   });
@@ -133,7 +180,8 @@ TEST(Comm, AlltoallvFlatConcatenatesInRankOrder) {
   world.run([&](dc::Communicator& comm) {
     std::vector<std::vector<u32>> send(P);
     for (int d = 0; d < P; ++d) send[static_cast<std::size_t>(d)] = {static_cast<u32>(comm.rank())};
-    auto flat = comm.alltoallv_flat(send);
+    std::vector<u32> flat;
+    all_to_all(comm, send).append_to(flat);
     ASSERT_EQ(flat.size(), static_cast<std::size_t>(P));
     for (int s = 0; s < P; ++s) EXPECT_EQ(flat[static_cast<std::size_t>(s)], static_cast<u32>(s));
   });
@@ -143,13 +191,13 @@ TEST(Comm, AllgatherAndAllgatherv) {
   const int P = 6;
   dc::World world(P);
   world.run([&](dc::Communicator& comm) {
-    auto all = comm.allgather(static_cast<u64>(comm.rank() * comm.rank()));
+    auto all = dc::allgatherv(comm, std::vector<u64>{static_cast<u64>(comm.rank() * comm.rank())});
     ASSERT_EQ(all.size(), static_cast<std::size_t>(P));
     for (int r = 0; r < P; ++r) EXPECT_EQ(all[static_cast<std::size_t>(r)], static_cast<u64>(r * r));
 
-    // allgatherv with rank-dependent sizes.
+    // allgatherv with rank-dependent sizes (rank 0 contributes nothing).
     std::vector<u32> mine(static_cast<std::size_t>(comm.rank()), static_cast<u32>(comm.rank()));
-    auto cat = comm.allgatherv(mine);
+    auto cat = dc::allgatherv(comm, mine);
     std::size_t expected_size = static_cast<std::size_t>(P * (P - 1) / 2);
     ASSERT_EQ(cat.size(), expected_size);
     std::size_t at = 0;
@@ -164,41 +212,54 @@ TEST(Comm, Reductions) {
   dc::World world(P);
   world.run([&](dc::Communicator& comm) {
     u64 r = static_cast<u64>(comm.rank());
-    EXPECT_EQ(comm.allreduce_sum(r), static_cast<u64>(P * (P - 1) / 2));
-    EXPECT_EQ(comm.allreduce_max(r), static_cast<u64>(P - 1));
-    EXPECT_DOUBLE_EQ(comm.allreduce_sum(0.5), 0.5 * P);
-    EXPECT_FALSE(comm.allreduce_and(comm.rank() != 3));
-    EXPECT_TRUE(comm.allreduce_and(true));
-    EXPECT_EQ(comm.exscan_sum(1), static_cast<u64>(comm.rank()));
-    // exscan with rank-dependent values: rank r holds r, prefix = r(r-1)/2.
-    EXPECT_EQ(comm.exscan_sum(r), static_cast<u64>(comm.rank() * (comm.rank() - 1) / 2));
+    EXPECT_EQ(dc::allreduce_sum(comm, r), static_cast<u64>(P * (P - 1) / 2));
+    EXPECT_EQ(dc::allreduce_sum(comm, 0), 0u);
+    EXPECT_EQ(dc::allreduce_sum(comm, r * r),
+              static_cast<u64>((P - 1) * P * (2 * P - 1) / 6));
+    // Full-width values: every rank contributes 2^40.
+    EXPECT_EQ(dc::allreduce_sum(comm, u64{1} << 40), static_cast<u64>(P) << 40);
   });
 }
 
 TEST(Comm, BroadcastAndGather) {
+  // The one-to-all and all-to-one patterns ride the same exchange: a rank
+  // posts only to the peers that should receive, and every other source's
+  // slice arrives empty.
   const int P = 4;
+  const int kRoot = 2, kGatherRoot = 1;
   dc::World world(P);
   world.run([&](dc::Communicator& comm) {
     struct Payload {
       u64 a;
       double b;
     };
-    Payload p{0, 0.0};
-    if (comm.rank() == 2) p = {77, 2.5};
-    Payload got = comm.broadcast(p, 2);
-    EXPECT_EQ(got.a, 77u);
-    EXPECT_DOUBLE_EQ(got.b, 2.5);
-
-    std::vector<u32> mine = {static_cast<u32>(comm.rank() + 100)};
-    auto rows = comm.gather(mine, 1);
-    if (comm.rank() == 1) {
-      ASSERT_EQ(rows.size(), static_cast<std::size_t>(P));
-      for (int s = 0; s < P; ++s) {
-        ASSERT_EQ(rows[static_cast<std::size_t>(s)].size(), 1u);
-        EXPECT_EQ(rows[static_cast<std::size_t>(s)][0], static_cast<u32>(s + 100));
+    std::vector<std::vector<Payload>> bcast(P);
+    if (comm.rank() == kRoot) {
+      for (auto& v : bcast) v = {Payload{77, 2.5}};
+    }
+    auto got = all_to_all(comm, bcast);
+    for (int s = 0; s < P; ++s) {
+      auto items = from_source<Payload>(got, s);
+      if (s != kRoot) {
+        EXPECT_TRUE(items.empty()) << "from " << s;
+        continue;
       }
-    } else {
-      EXPECT_TRUE(rows.empty());
+      ASSERT_EQ(items.size(), 1u);
+      EXPECT_EQ(items[0].a, 77u);
+      EXPECT_DOUBLE_EQ(items[0].b, 2.5);
+    }
+
+    std::vector<std::vector<u32>> to_root(P);
+    to_root[kGatherRoot] = {static_cast<u32>(comm.rank() + 100)};
+    auto rows = all_to_all(comm, to_root);
+    for (int s = 0; s < P; ++s) {
+      auto row = from_source<u32>(rows, s);
+      if (comm.rank() != kGatherRoot) {
+        EXPECT_TRUE(row.empty());
+        continue;
+      }
+      ASSERT_EQ(row.size(), 1u);
+      EXPECT_EQ(row[0], static_cast<u32>(s + 100));
     }
   });
 }
@@ -212,7 +273,7 @@ TEST(Comm, ExchangeRecordsAlignedAndAccurate) {
     for (int d = 0; d < P; ++d) {
       send[static_cast<std::size_t>(d)].assign(static_cast<std::size_t>(comm.rank() + 1), 7);
     }
-    comm.alltoallv(send);
+    all_to_all(comm, send);
     comm.set_stage("phase_two");
     comm.barrier();
   });
@@ -222,7 +283,7 @@ TEST(Comm, ExchangeRecordsAlignedAndAccurate) {
     const auto& log = records[static_cast<std::size_t>(r)];
     ASSERT_EQ(log.size(), 2u);
     EXPECT_EQ(log[0].seq, 0u);
-    EXPECT_EQ(log[0].op, dc::CollectiveOp::kAlltoallv);
+    EXPECT_EQ(log[0].op, dc::CollectiveOp::kExchange);
     EXPECT_EQ(log[0].stage, "phase_one");
     // Rank r sent (r+1) u64s to each of P-1 peers; the self-destination
     // payload never touches the wire and is excluded from the record.
@@ -230,6 +291,7 @@ TEST(Comm, ExchangeRecordsAlignedAndAccurate) {
     EXPECT_EQ(log[0].bytes_to_peer[static_cast<std::size_t>(r)], 0u);
     EXPECT_EQ(log[1].op, dc::CollectiveOp::kBarrier);
     EXPECT_EQ(log[1].stage, "phase_two");
+    EXPECT_EQ(log[1].total_bytes(), 0u);
     EXPECT_GE(log[0].wall_seconds, 0.0);
   }
   world.clear_exchange_records();
@@ -242,10 +304,10 @@ TEST(Comm, RecordSinkObservesCalls) {
   std::atomic<int> observed{0};
   world.run([&](dc::Communicator& comm) {
     comm.set_record_sink([&](const dc::ExchangeRecord& rec) {
-      if (rec.op == dc::CollectiveOp::kAllgather) ++observed;
+      if (rec.op == dc::CollectiveOp::kExchange) ++observed;
     });
-    comm.allgather(u64{1});
-    comm.allgather(u64{2});
+    dc::allreduce_sum(comm, 1);
+    dc::allreduce_sum(comm, 2);
   });
   EXPECT_EQ(observed.load(), 2 * P);
 }
@@ -257,19 +319,20 @@ TEST(Comm, ManySuccessiveCollectivesStayAligned) {
   world.run([&](dc::Communicator& comm) {
     u64 acc = static_cast<u64>(comm.rank());
     for (int round = 0; round < 30; ++round) {
-      acc = comm.allreduce_sum(acc) % 1000 + static_cast<u64>(comm.rank());
+      acc = dc::allreduce_sum(comm, acc) % 1000 + static_cast<u64>(comm.rank());
       std::vector<std::vector<u64>> send(P);
       for (int d = 0; d < P; ++d) {
         send[static_cast<std::size_t>(d)].assign((acc + static_cast<u64>(d)) % 5, acc);
       }
-      auto recv = comm.alltoallv(send);
-      u64 sum = 0;
-      for (const auto& v : recv) sum += std::accumulate(v.begin(), v.end(), u64{0});
-      acc = comm.allreduce_max(sum);
+      std::vector<u64> recv;
+      all_to_all(comm, send).append_to(recv);
+      u64 sum = std::accumulate(recv.begin(), recv.end(), u64{0});
+      auto sums = dc::allgatherv(comm, std::vector<u64>{sum});
+      acc = *std::max_element(sums.begin(), sums.end());
     }
     // All ranks converge to the same value because every input to acc is a
     // collective result (plus the rank term removed by the final max).
-    auto all = comm.allgather(acc);
+    auto all = dc::allgatherv(comm, std::vector<u64>{acc});
     for (u64 v : all) EXPECT_EQ(v, all[0]);
   });
 }
@@ -284,7 +347,7 @@ TEST(Comm, LargePayloadIntegrity) {
       send[static_cast<std::size_t>(d)].resize(100'000);
       for (auto& v : send[static_cast<std::size_t>(d)]) v = rng.next();
     }
-    auto recv = comm.alltoallv(send);
+    auto batch = all_to_all(comm, send);
     // Regenerate the peer's stream to verify integrity.
     for (int s = 0; s < P; ++s) {
       dibella::util::Xoshiro256 peer(static_cast<u64>(s) + 1);
@@ -295,7 +358,7 @@ TEST(Comm, LargePayloadIntegrity) {
           if (d == comm.rank()) expect.push_back(v);
         }
       }
-      EXPECT_EQ(recv[static_cast<std::size_t>(s)], expect);
+      EXPECT_EQ(from_source<u64>(batch, s), expect);
     }
   });
 }
@@ -303,37 +366,35 @@ TEST(Comm, LargePayloadIntegrity) {
 // --- self-byte accounting ----------------------------------------------------
 
 TEST(Comm, RecordsExcludeSelfBytesEverywhere) {
-  // Regression: alltoallv used to record the self-destination payload in
-  // bytes_to_peer while allgatherv/gather excluded it. Self bytes never
-  // touch the wire, so every collective must record bytes_to_peer[self]==0.
+  // Self bytes never touch the wire, so every collective — a stage-style
+  // exchange, the allgatherv and allreduce_sum helpers, and the barrier —
+  // must record bytes_to_peer[self] == 0.
   const int P = 4;
   dc::World world(P);
   world.run([&](dc::Communicator& comm) {
     std::vector<std::vector<u64>> send(P);
     for (int d = 0; d < P; ++d) send[static_cast<std::size_t>(d)].assign(3, 7);
-    comm.alltoallv(send);
-    comm.alltoallv_flat(send);
-    comm.allgatherv(std::vector<u64>{1, 2});
-    comm.broadcast(u64{9}, 1);
-    comm.gather(std::vector<u64>{5}, 2);
-    dc::Exchanger ex(comm);
-    for (int d = 0; d < P; ++d) ex.post(d, send[static_cast<std::size_t>(d)]);
-    ex.flush_async(/*done=*/true);
-    ex.wait();
+    all_to_all(comm, send);
+    dc::allgatherv(comm, std::vector<u64>{1, 2});
+    dc::allreduce_sum(comm, 9);
+    comm.barrier();
   });
   auto records = world.exchange_records();
   for (int r = 0; r < P; ++r) {
-    for (const auto& rec : records[static_cast<std::size_t>(r)]) {
+    const auto& log = records[static_cast<std::size_t>(r)];
+    ASSERT_EQ(log.size(), 4u);
+    for (const auto& rec : log) {
       EXPECT_EQ(rec.bytes_to_peer[static_cast<std::size_t>(r)], 0u)
           << dc::collective_op_name(rec.op) << " recorded self bytes on rank " << r;
     }
-    // alltoallv: 3 u64s to each of P-1 wire peers.
-    EXPECT_EQ(records[static_cast<std::size_t>(r)][0].total_bytes(),
-              static_cast<u64>(3 * 8 * (P - 1)));
-    // The Exchanger batch has the same wire footprint as the alltoallv.
-    const auto& ex_rec = records[static_cast<std::size_t>(r)].back();
-    EXPECT_EQ(ex_rec.op, dc::CollectiveOp::kExchange);
-    EXPECT_EQ(ex_rec.total_bytes(), static_cast<u64>(3 * 8 * (P - 1)));
+    // Exchange: 3 u64s to each of P-1 wire peers; allgatherv: 2; the
+    // allreduce: 1; the barrier: none.
+    EXPECT_EQ(log[0].total_bytes(), static_cast<u64>(3 * 8 * (P - 1)));
+    EXPECT_EQ(log[1].total_bytes(), static_cast<u64>(2 * 8 * (P - 1)));
+    EXPECT_EQ(log[2].total_bytes(), static_cast<u64>(8 * (P - 1)));
+    EXPECT_EQ(log[3].total_bytes(), 0u);
+    for (int i = 0; i < 3; ++i) EXPECT_EQ(log[static_cast<std::size_t>(i)].op, dc::CollectiveOp::kExchange);
+    EXPECT_EQ(log[3].op, dc::CollectiveOp::kBarrier);
   }
 }
 
@@ -347,14 +408,16 @@ TEST(Comm, AlltoallvFlatReportsSourceOffsets) {
       send[static_cast<std::size_t>(d)].assign(static_cast<std::size_t>(comm.rank() + 1),
                                                static_cast<u32>(comm.rank()));
     }
-    std::vector<u64> offsets;
-    auto flat = comm.alltoallv_flat(send, &offsets);
+    auto batch = all_to_all(comm, send);
+    std::vector<u32> flat;
+    batch.append_to(flat);
+    const auto& offsets = batch.src_offsets;  // byte offsets
     ASSERT_EQ(offsets.size(), static_cast<std::size_t>(P) + 1);
     EXPECT_EQ(offsets[0], 0u);
-    EXPECT_EQ(offsets.back(), flat.size());
+    EXPECT_EQ(offsets.back(), flat.size() * sizeof(u32));
     for (int s = 0; s < P; ++s) {
-      u64 lo = offsets[static_cast<std::size_t>(s)];
-      u64 hi = offsets[static_cast<std::size_t>(s) + 1];
+      u64 lo = offsets[static_cast<std::size_t>(s)] / sizeof(u32);
+      u64 hi = offsets[static_cast<std::size_t>(s) + 1] / sizeof(u32);
       ASSERT_EQ(hi - lo, static_cast<u64>(s + 1)) << "from " << s;
       for (u64 i = lo; i < hi; ++i) EXPECT_EQ(flat[i], static_cast<u32>(s));
     }
@@ -425,37 +488,27 @@ TEST(Exchanger, ChunkTrainsReassembleLargePayloads) {
 }
 
 TEST(Exchanger, OverlappedLoopMatchesBlockingLoop) {
-  // run_exchange must deliver, batch for batch, exactly what the blocking
-  // pack -> alltoallv_flat -> allreduce loop delivers, including the ragged
-  // termination (ranks run out of data at different times) — under both of
-  // its schedules, with the same number of exchange rounds.
+  // run_exchange must deliver, batch for batch, exactly what a lock-step
+  // pack -> all-to-all -> termination-vote loop delivers, including the
+  // ragged termination (ranks run out of data at different times) — under
+  // both of its schedules, with one exchange per round and no extra vote.
   const int P = 5;
   const int kBatches[] = {7, 2, 5, 1, 4};  // per-rank batch counts
   auto payload = [](int src, int batch, int dst) {
     return static_cast<u64>(src * 10000 + batch * 100 + dst);
   };
 
-  // Reference: the blocking collectives.
-  std::vector<std::vector<u64>> blocking_recv(P);
-  {
-    dc::World world(P);
-    world.run([&](dc::Communicator& comm) {
-      int me = comm.rank();
-      int sent = 0;
-      bool more = true;
-      while (true) {
-        std::vector<std::vector<u64>> send(P);
-        if (more) {
-          for (int d = 0; d < P; ++d) send[static_cast<std::size_t>(d)] = {payload(me, sent, d)};
-          ++sent;
-          more = sent < kBatches[me];
-        }
-        auto flat = comm.alltoallv_flat(send);
-        auto& sink = blocking_recv[static_cast<std::size_t>(me)];
-        sink.insert(sink.end(), flat.begin(), flat.end());
-        if (comm.allreduce_and(!more)) break;
+  // Reference, computed without any comm: in round b every rank receives,
+  // in source-rank order, payload(s, b, me) from each source s that still
+  // had a batch to send in that round; the loop runs max(kBatches) rounds.
+  const int kRounds = *std::max_element(std::begin(kBatches), std::end(kBatches));
+  std::vector<std::vector<u64>> expected_recv(P);
+  for (int me = 0; me < P; ++me) {
+    for (int b = 0; b < kRounds; ++b) {
+      for (int s = 0; s < P; ++s) {
+        if (b < kBatches[s]) expected_recv[static_cast<std::size_t>(me)].push_back(payload(s, b, me));
       }
-    });
+    }
   }
 
   for (bool overlap : {true, false}) {
@@ -483,13 +536,13 @@ TEST(Exchanger, OverlappedLoopMatchesBlockingLoop) {
     });
     auto records = world.exchange_records();
     for (int r = 0; r < P; ++r) {
-      EXPECT_EQ(recv[static_cast<std::size_t>(r)], blocking_recv[static_cast<std::size_t>(r)])
+      EXPECT_EQ(recv[static_cast<std::size_t>(r)], expected_recv[static_cast<std::size_t>(r)])
           << "rank " << r;
-      // Same number of exchange rounds as the blocking loop (max batches =
-      // 7), each one Exchanger flush — no separate termination vote.
-      EXPECT_EQ(batches[static_cast<std::size_t>(r)], 7u);
+      // One round per batch of the longest sender (7), each one Exchanger
+      // flush — no separate termination vote.
+      EXPECT_EQ(batches[static_cast<std::size_t>(r)], static_cast<u64>(kRounds));
       const auto& log = records[static_cast<std::size_t>(r)];
-      ASSERT_EQ(log.size(), 7u) << "rank " << r;
+      ASSERT_EQ(log.size(), static_cast<std::size_t>(kRounds)) << "rank " << r;
       for (const auto& rec : log) EXPECT_EQ(rec.op, dc::CollectiveOp::kExchange);
     }
   }
@@ -504,9 +557,9 @@ TEST(Exchanger, RecordsHiddenWindowAndInterleavesWithCollectives) {
     std::vector<u32> v{1, 2, 3};
     for (int d = 0; d < P; ++d) ex.post(d, v);
     ex.flush_async(true);
-    // A blocking collective result computed while the batch is in flight
-    // must coexist with the pending exchange (distinct epoch tags).
-    EXPECT_EQ(comm.allreduce_sum(u64{1}), static_cast<u64>(P));
+    // A reduction completed while the batch is in flight must coexist with
+    // the pending exchange (distinct epoch tags).
+    EXPECT_EQ(dc::allreduce_sum(comm, 1), static_cast<u64>(P));
     auto got = ex.wait();
     std::vector<u32> items;
     got.append_to(items);
@@ -515,10 +568,12 @@ TEST(Exchanger, RecordsHiddenWindowAndInterleavesWithCollectives) {
   auto records = world.exchange_records();
   for (int r = 0; r < P; ++r) {
     const auto& log = records[static_cast<std::size_t>(r)];
-    // allgather (from allreduce) finishes before the exchange's wait().
+    // The reduction's exchange finishes before the outer batch's wait().
     ASSERT_EQ(log.size(), 2u);
-    EXPECT_EQ(log[0].op, dc::CollectiveOp::kAllgather);
+    EXPECT_EQ(log[0].op, dc::CollectiveOp::kExchange);
+    EXPECT_EQ(log[0].total_bytes(), static_cast<u64>(8 * (P - 1)));
     EXPECT_EQ(log[1].op, dc::CollectiveOp::kExchange);
+    EXPECT_EQ(log[1].total_bytes(), static_cast<u64>(3 * 4 * (P - 1)));
     EXPECT_EQ(log[1].stage, "overlap_test");
     EXPECT_GE(log[1].hidden_wall_seconds, 0.0);
     EXPECT_GE(log[1].wall_seconds, 0.0);
@@ -548,8 +603,9 @@ TEST(CommFailure, BarrierTimeoutAbortsRun) {
 TEST(CommFailure, ExchangeTimeoutNamesTheAwaitedChunkAndItsCause) {
   // A receiver whose peer never flushes must say so — naming the awaited
   // (src, dst, epoch, chunk) — rather than blame a collective mismatch.
-  auto timeout_message = [](int P, const std::function<void(dc::Communicator&)>& fn) {
-    dc::World world(P, /*barrier_timeout_seconds=*/0.5);
+  auto timeout_message = [](int P, double timeout_s,
+                            const std::function<void(dc::Communicator&)>& fn) {
+    dc::World world(P, timeout_s);
     try {
       world.run(fn);
     } catch (const dibella::Error& e) {
@@ -559,7 +615,7 @@ TEST(CommFailure, ExchangeTimeoutNamesTheAwaitedChunkAndItsCause) {
     return std::string();
   };
 
-  std::string never = timeout_message(2, [](dc::Communicator& comm) {
+  std::string never = timeout_message(2, 0.5, [](dc::Communicator& comm) {
     if (comm.rank() == 0) return;  // never reaches the exchange
     dc::Exchanger ex(comm);
     ex.flush_async(true);
@@ -570,40 +626,45 @@ TEST(CommFailure, ExchangeTimeoutNamesTheAwaitedChunkAndItsCause) {
   EXPECT_NE(never.find("peer never arrived"), std::string::npos) << never;
   EXPECT_EQ(never.find("mismatch"), std::string::npos) << never;
 
-  // Rank 0 spends epoch 0 on a gather rooted at rank 2 and flushes at epoch
-  // 1; rank 1 exchanges at epoch 0. Rank 0 has run past the awaited epoch
-  // without depositing it: a mismatched collective sequence.
-  std::string skipped = timeout_message(3, [](dc::Communicator& comm) {
-    if (comm.rank() == 2) return;
-    if (comm.rank() == 0) comm.gather(std::vector<u64>{1}, /*root=*/2);
+  // Rank 0 spends epoch 0 on a barrier while rank 1 exchanges at epoch 0:
+  // rank 0 has entered the awaited epoch without depositing for it, a
+  // mismatched collective sequence. Rank 0 enters its barrier late, so rank
+  // 1's wait is the first to time out (the fence would say the same).
+  std::string skipped = timeout_message(2, 1.0, [](dc::Communicator& comm) {
+    if (comm.rank() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      comm.barrier();
+      return;
+    }
     dc::Exchanger ex(comm);
     ex.flush_async(true);
-    if (comm.rank() == 1) ex.wait();
+    ex.wait();
   });
   EXPECT_NE(skipped.find("rank 1 waited for chunk 0 of epoch 0 from rank 0"),
             std::string::npos) << skipped;
   EXPECT_NE(skipped.find("mismatched collective sequences"), std::string::npos)
       << skipped;
-  EXPECT_NE(skipped.find("rank 0 is at epoch 1"), std::string::npos) << skipped;
+  EXPECT_NE(skipped.find("rank 0 is at epoch 0"), std::string::npos) << skipped;
 }
 
 TEST(CommFailure, MismatchedCollectiveKindsPoisonTheWorld) {
-  // Rank 0 calls alltoallv while the others call allgatherv at the same
-  // epoch: the mailbox tags disagree, which must abort the run with a
-  // sequence-mismatch error, not mix payloads or deadlock.
-  dc::World world(3, /*barrier_timeout_seconds=*/5.0);
+  // Rank 0 calls the barrier while the others exchange at the same epoch.
+  // The barrier deposits nothing, so the exchange waits and the fence time
+  // out; either way the run must abort naming a mismatched collective
+  // sequence, not mix payloads or deadlock.
+  dc::World world(3, /*barrier_timeout_seconds=*/1.0);
   try {
     world.run([&](dc::Communicator& comm) {
       if (comm.rank() == 0) {
-        std::vector<std::vector<u64>> send(3);
-        comm.alltoallv(send);
+        comm.barrier();
       } else {
-        comm.allgatherv(std::vector<u64>{1});
+        dc::allgatherv(comm, std::vector<u64>{1});
       }
     });
     FAIL() << "mismatched collectives must throw";
   } catch (const dibella::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("mismatch"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("mismatched collective sequences"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -614,9 +675,9 @@ TEST(CommFailure, MismatchedBarrierEpochPoisonsTheWorld) {
   dc::World world(2, /*barrier_timeout_seconds=*/1.5);
   try {
     world.run([&](dc::Communicator& comm) {
-      if (comm.rank() == 0) comm.allgatherv(std::vector<u64>{});
+      if (comm.rank() == 0) dc::allgatherv(comm, std::vector<u64>{});
       comm.barrier();
-      if (comm.rank() == 1) comm.allgatherv(std::vector<u64>{});
+      if (comm.rank() == 1) dc::allgatherv(comm, std::vector<u64>{});
     });
     FAIL() << "mismatched barrier epochs must throw";
   } catch (const dibella::Error& e) {

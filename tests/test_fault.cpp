@@ -252,6 +252,54 @@ TEST(SelfHealingExchange, FaultFreeRunHasZeroFaultCounters) {
   EXPECT_EQ(stats.corrupt_chunks, 0u);
 }
 
+TEST(SelfHealingExchange, AllgathervHealsAFaultAimedAtIt) {
+  // comm::allgatherv rides the same framed exchange as a stage batch, so a
+  // transport fault aimed at its collective index heals on that exchange:
+  // rank 1, rank 0's faulted neighbour, records the one retransmission.
+  for (const char* plan : {"drop@bloom:0", "bitflip@bloom:0"}) {
+    SCOPED_TRACE(plan);
+    const int P = 3;
+    dcomm::World world(P, 60.0);
+    world.set_fault_plan(dcomm::FaultPlan::parse(plan));
+    world.run([&](dcomm::Communicator& comm) {
+      comm.set_stage("bloom");
+      const std::vector<u64> mine(16, static_cast<u64>(comm.rank()) + 1);
+      const auto all = dcomm::allgatherv(comm, mine);
+      ASSERT_EQ(all.size(), mine.size() * P);
+      for (std::size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i], i / mine.size() + 1);
+    });
+    const auto stats = world.comm_fault_stats();
+    EXPECT_EQ(stats.retries, 1u);
+    EXPECT_EQ(stats.corrupt_chunks, std::string(plan).rfind("bitflip", 0) == 0 ? 1u : 0u);
+    const auto records = world.exchange_records();
+    ASSERT_EQ(records[1].size(), 1u);
+    EXPECT_EQ(records[1][0].op, dcomm::CollectiveOp::kExchange);
+    EXPECT_EQ(records[1][0].retries, 1u);
+  }
+}
+
+TEST(SelfHealingExchange, BloomReductionHealsTheFaultAimedAtIt) {
+  // Stage 1's collective 0 on the default (a-priori estimate) path is the
+  // allreduce_sum that sizes the Bloom filter. The fault heals on that very
+  // exchange: rank 1's first record is the reduction, with the retry.
+  for (bool overlap : {true, false}) {
+    SCOPED_TRACE(overlap ? "overlapped" : "bulk-synchronous");
+    const int P = 3;
+    dcomm::World world(P, 60.0);
+    world.set_fault_plan(dcomm::FaultPlan::parse("drop@bloom:0"));
+    dc::PipelineConfig cfg = tiny_config();
+    cfg.overlap_comm = overlap;
+    dc::run_pipeline(world, tiny_dataset().reads, cfg, tiny_dataset().truth);
+    const auto records = world.exchange_records();
+    ASSERT_FALSE(records[1].empty());
+    const auto& reduction = records[1][0];
+    EXPECT_EQ(reduction.stage, "bloom");
+    EXPECT_EQ(reduction.total_bytes(), 8u * (P - 1));
+    EXPECT_EQ(reduction.retries, 1u);
+    EXPECT_EQ(world.comm_fault_stats().retries, 1u);
+  }
+}
+
 // --- poison propagation ------------------------------------------------------
 
 TEST(PoisonPropagation, AbortInEachStageUnwindsEverySiblingWithoutHanging) {
@@ -663,6 +711,37 @@ TEST_F(FaultCli, DropFaultIsAbsorbedWithUnchangedOutputs) {
     auto off_counters = parse_counters(load(cell / dibella::cli::kCountersFile));
     EXPECT_GE(off_counters.at("comm_chunk_retries"), 2u);
     EXPECT_GE(off_counters.at("comm_corrupt_chunks"), 1u);
+  }
+}
+
+TEST_F(FaultCli, FaultOnTheBloomReductionHealsUnderBothSchedules) {
+  // Stage 1's first collective on the default (a-priori estimate) path is
+  // the allreduce_sum that sizes the Bloom filter. It rides the framed
+  // exchange, so a drop or bit flip aimed at it heals there — exactly one
+  // retransmission — under either schedule, with unchanged outputs.
+  const fs::path ref_dir = dir_ / "ref";
+  DriverResult ref = run_driver(
+      {"--preset=tiny", "--ranks=3", "--out-dir=" + ref_dir.string()});
+  ASSERT_EQ(ref.exit_code, dibella::cli::kExitOk) << ref.err;
+  const Outputs want = outputs_of(ref_dir);
+
+  int case_index = 0;
+  for (const char* sched : {"on", "off"}) {
+    for (const char* fault : {"drop@bloom:0", "bitflip@bloom:0"}) {
+      SCOPED_TRACE(std::string(fault) + ", overlap-comm=" + sched);
+      const fs::path cell = dir_ / ("cell" + std::to_string(case_index++));
+      DriverResult healed = run_driver(
+          {"--preset=tiny", "--ranks=3", "--overlap-comm=" + std::string(sched),
+           "--inject-fault=" + std::string(fault), "--out-dir=" + cell.string()});
+      ASSERT_EQ(healed.exit_code, dibella::cli::kExitOk) << healed.err;
+      const Outputs got = outputs_of(cell);
+      EXPECT_EQ(want.paf, got.paf);
+      EXPECT_EQ(want.eval_tsv, got.eval_tsv);
+      auto counters = parse_counters(load(cell / dibella::cli::kCountersFile));
+      const bool bitflip = std::string(fault).rfind("bitflip", 0) == 0;
+      EXPECT_EQ(counters.at("comm_chunk_retries"), 1u);
+      EXPECT_EQ(counters.at("comm_corrupt_chunks"), bitflip ? 1u : 0u);
+    }
   }
 }
 

@@ -74,35 +74,6 @@ TEST(Fastx, ToleratesCrlfAndTrailingBlank) {
   EXPECT_EQ(parsed[0].seq, "ACGT");
 }
 
-TEST(Fastx, SyncFindsRecordStartEvenWithAtInQuality) {
-  // Quality line deliberately starts with '@' to stress the sync heuristic.
-  std::string text = "@r1\nACGT\n+\n@@@@\n@r2\nTTTT\n+\n!!!!\n";
-  std::size_t second = text.find("@r2");
-  // Sync from one byte into the first record must land on @r2, not the '@'
-  // quality line.
-  EXPECT_EQ(dio::sync_to_fastq_record(text, 1), second);
-  // Sync from 0 stays at 0.
-  EXPECT_EQ(dio::sync_to_fastq_record(text, 0), 0u);
-}
-
-TEST(Fastx, RangePartitionCoversAllReadsExactlyOnce) {
-  auto reads = sample_reads(101);
-  std::string text = dio::to_fastq(reads);
-  for (int parts : {1, 2, 3, 7, 16}) {
-    auto bounds = dio::split_byte_ranges(text.size(), parts);
-    std::vector<std::string> names;
-    for (int p = 0; p < parts; ++p) {
-      auto part = dio::parse_fastq_range(text, bounds[static_cast<std::size_t>(p)],
-                                         bounds[static_cast<std::size_t>(p) + 1]);
-      for (auto& r : part) names.push_back(r.name);
-    }
-    ASSERT_EQ(names.size(), reads.size()) << "parts=" << parts;
-    for (std::size_t i = 0; i < reads.size(); ++i) {
-      EXPECT_EQ(names[i], reads[i].name) << "parts=" << parts << " i=" << i;
-    }
-  }
-}
-
 TEST(Fastx, FileRoundTrip) {
   namespace fs = std::filesystem;
   auto reads = sample_reads(10);

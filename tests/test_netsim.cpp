@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "comm/communicator.hpp"
+#include "comm/exchanger.hpp"
 #include "comm/world.hpp"
 #include "netsim/cost_model.hpp"
 #include "netsim/kernel_costs.hpp"
@@ -30,12 +31,12 @@ const dn::KernelCosts kCosts = unit_costs();
 
 dn::Work cells(u64 n) { return dn::Work{.dp_cells = n}; }
 
-/// Build a P-rank alltoallv record set where rank r sends bytes[r][d] to d.
-std::vector<dc::ExchangeRecord> make_alltoallv(
+/// Build a P-rank exchange record set where rank r sends bytes[r][d] to d.
+std::vector<dc::ExchangeRecord> make_exchange(
     const std::vector<std::vector<u64>>& bytes, const std::string& stage = "s") {
   std::vector<dc::ExchangeRecord> recs(bytes.size());
   for (std::size_t r = 0; r < bytes.size(); ++r) {
-    recs[r].op = dc::CollectiveOp::kAlltoallv;
+    recs[r].op = dc::CollectiveOp::kExchange;
     recs[r].stage = stage;
     recs[r].bytes_to_peer = bytes[r];
     recs[r].seq = 0;
@@ -124,7 +125,7 @@ TEST(CostModel, ExchangeIntraNodeOnly) {
   auto p = dn::cori();
   dn::CostModel model(p, dn::Topology{1, 2}, kCosts);
   // 2 ranks, same node: 1 MB each way.
-  auto recs = make_alltoallv({{0, 1'000'000}, {1'000'000, 0}});
+  auto recs = make_exchange({{0, 1'000'000}, {1'000'000, 0}});
   std::vector<double> per_rank;
   double t = model.exchange_time(recs, false, &per_rank);
   double expect = p.intra_latency_s + 2e6 / p.intra_bw_bytes_per_s_per_rank;
@@ -135,7 +136,7 @@ TEST(CostModel, ExchangeIntraNodeOnly) {
 TEST(CostModel, ExchangeInterNodeUsesNodeBandwidth) {
   auto p = dn::cori();
   dn::CostModel model(p, dn::Topology{2, 1}, kCosts);
-  auto recs = make_alltoallv({{0, 8'000'000}, {0, 0}});  // 8 MB rank0 -> rank1
+  auto recs = make_exchange({{0, 8'000'000}, {0, 0}});  // 8 MB rank0 -> rank1
   double t = model.exchange_time(recs, false);
   // One inter-node message: latency + bytes / (node_bw / 1 rank-per-node).
   double expect = p.inter_latency_s + 8e6 / p.node_bw_bytes_per_s;
@@ -146,7 +147,7 @@ TEST(CostModel, ExchangeReceiverCanBeBottleneck) {
   auto p = dn::cori();
   dn::CostModel model(p, dn::Topology{3, 1}, kCosts);
   // Ranks 0 and 1 each send 4 MB to rank 2: rank 2's receive side dominates.
-  auto recs = make_alltoallv({{0, 0, 4'000'000}, {0, 0, 4'000'000}, {0, 0, 0}});
+  auto recs = make_exchange({{0, 0, 4'000'000}, {0, 0, 4'000'000}, {0, 0, 0}});
   std::vector<double> per_rank;
   double t = model.exchange_time(recs, false, &per_rank);
   EXPECT_NEAR(per_rank[2], 8e6 / p.node_bw_bytes_per_s, 1e-6);
@@ -157,7 +158,7 @@ TEST(CostModel, ExchangeReceiverCanBeBottleneck) {
 TEST(CostModel, FirstAlltoallvPaysSetup) {
   auto p = dn::cori();
   dn::CostModel model(p, dn::Topology{2, 2}, kCosts);
-  auto recs = make_alltoallv({{0, 10, 10, 10}, {10, 0, 10, 10}, {10, 10, 0, 10}, {10, 10, 10, 0}});
+  auto recs = make_exchange({{0, 10, 10, 10}, {10, 0, 10, 10}, {10, 10, 0, 10}, {10, 10, 10, 0}});
   double plain = model.exchange_time(recs, false);
   double first = model.exchange_time(recs, true);
   EXPECT_NEAR(first - plain, p.first_alltoallv_setup_s_per_peer * 4, 1e-12);
@@ -179,7 +180,7 @@ TEST(CostModel, SlowerNetworkCostsMore) {
   dn::Topology topo{4, 4};
   std::vector<std::vector<u64>> bytes(16, std::vector<u64>(16, 4096));
   for (int r = 0; r < 16; ++r) bytes[static_cast<std::size_t>(r)][static_cast<std::size_t>(r)] = 0;
-  auto recs = make_alltoallv(bytes);
+  auto recs = make_exchange(bytes);
   double t_edison = dn::CostModel(dn::edison(), topo, kCosts).exchange_time(recs, false);
   double t_cori = dn::CostModel(dn::cori(), topo, kCosts).exchange_time(recs, false);
   double t_aws = dn::CostModel(dn::aws(), topo, kCosts).exchange_time(recs, false);
@@ -203,7 +204,7 @@ TEST(CostModel, EvaluateAggregatesSuperstepsBspStyle) {
   std::vector<std::vector<dc::ExchangeRecord>> records(2);
   for (int r = 0; r < 2; ++r) {
     dc::ExchangeRecord rec;
-    rec.op = dc::CollectiveOp::kAlltoallv;
+    rec.op = dc::CollectiveOp::kExchange;
     rec.stage = "alpha";
     rec.seq = 0;
     rec.bytes_to_peer = {0, 0};
@@ -267,9 +268,10 @@ TEST(CostModel, EndToEndWithRealWorldRecords) {
         [&trace](const dc::ExchangeRecord& rec) { trace.add_exchange(rec.seq); });
     comm.set_stage("work");
     trace.add_work("work", cells(static_cast<u64>(comm.rank()) + 1), 1 << 20);
-    std::vector<std::vector<u64>> send(P);
-    for (int d = 0; d < P; ++d) send[static_cast<std::size_t>(d)].assign(100, 1);
-    comm.alltoallv(send);
+    dc::Exchanger ex(comm);
+    for (int d = 0; d < P; ++d) ex.post(d, std::vector<u64>(100, 1));
+    ex.flush_async(/*done=*/true);
+    ex.wait();
   });
   dn::KernelCosts ms_per_cell = kCosts;
   ms_per_cell.xdrop_per_cell = 1e-3;
@@ -331,7 +333,7 @@ TEST(CostModel, BlockingCollectivesStayFullyExposed) {
     traces[static_cast<std::size_t>(r)].add_work("s", cells(1), 0);
     traces[static_cast<std::size_t>(r)].add_exchange(0);
   }
-  auto recs = make_alltoallv({{0, 1'000'000}, {1'000'000, 0}});
+  auto recs = make_exchange({{0, 1'000'000}, {1'000'000, 0}});
   std::vector<std::vector<dc::ExchangeRecord>> records(2);
   records[0] = {recs[0]};
   records[1] = {recs[1]};

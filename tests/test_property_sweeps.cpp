@@ -18,6 +18,7 @@
 #include "bella/model.hpp"
 #include "bloom/bloom_filter.hpp"
 #include "comm/communicator.hpp"
+#include "comm/exchanger.hpp"
 #include "comm/world.hpp"
 #include "core/pipeline.hpp"
 #include "eval/report.hpp"
@@ -441,13 +442,22 @@ TEST_P(CollectivesRankSweep, RandomizedAlltoallvAndReductions) {
   }
   dibella::comm::World world(P);
   world.run([&](dibella::comm::Communicator& comm) {
-    auto recv = comm.alltoallv(payload[static_cast<std::size_t>(comm.rank())]);
-    for (int s = 0; s < P; ++s) {
-      EXPECT_EQ(recv[static_cast<std::size_t>(s)],
-                payload[static_cast<std::size_t>(s)][static_cast<std::size_t>(comm.rank())]);
+    dibella::comm::Exchanger ex(comm);
+    for (int d = 0; d < P; ++d) {
+      ex.post(d, payload[static_cast<std::size_t>(comm.rank())][static_cast<std::size_t>(d)]);
     }
-    EXPECT_EQ(comm.allreduce_sum(u64{1}), static_cast<u64>(P));
-    EXPECT_EQ(comm.exscan_sum(2), static_cast<u64>(2 * comm.rank()));
+    ex.flush_async(/*done=*/true);
+    auto batch = ex.wait();
+    for (int s = 0; s < P; ++s) {
+      std::vector<u64> got;
+      batch.append_from(s, got);
+      EXPECT_EQ(got, payload[static_cast<std::size_t>(s)][static_cast<std::size_t>(comm.rank())]);
+    }
+    EXPECT_EQ(dibella::comm::allreduce_sum(comm, 1), static_cast<u64>(P));
+    // Every rank's contribution, in rank order.
+    auto ranks = dibella::comm::allgatherv(comm, std::vector<u64>{static_cast<u64>(comm.rank())});
+    ASSERT_EQ(ranks.size(), static_cast<std::size_t>(P));
+    for (int r = 0; r < P; ++r) EXPECT_EQ(ranks[static_cast<std::size_t>(r)], static_cast<u64>(r));
   });
 }
 
