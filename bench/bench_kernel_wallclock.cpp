@@ -5,8 +5,9 @@
 //
 // Unlike the bench_fig* binaries (virtual cost-model seconds), this measures
 // REAL wall-clock time of:
-//   * xdrop:        seed-anchored x-drop extension over noisy overlapping and
-//                   divergent long-read pairs (ns/cell, pairs/s)
+//   * xdrop:        seed-anchored x-drop extension over ~10 kb noisy pairs
+//                   anchored on a true shared k-mer, plus divergent pairs
+//                   (ns/cell, pairs/s)
 //   * sw:           full Smith-Waterman with traceback on short windows
 //                   (ns/cell, pairs/s)
 //   * consolidate:  overlap-stage wire-task consolidation, sort-then-group vs
@@ -81,19 +82,27 @@ std::string random_dna(util::Xoshiro256& rng, std::size_t n) {
   return s;
 }
 
-std::string mutate(const std::string& s, double rate, util::Xoshiro256& rng) {
+/// `s` with substitutions, insertions and deletions at `rate`. When `pos` is
+/// given, (*pos)[k] is the output index of s[k], or -1 where s[k] was
+/// substituted or deleted: the read's coordinate map onto its source.
+std::string mutate(const std::string& s, double rate, util::Xoshiro256& rng,
+                   std::vector<i64>* pos = nullptr) {
   std::string out;
   out.reserve(s.size() + s.size() / 4);
-  for (char c : s) {
+  if (pos) pos->assign(s.size(), -1);
+  for (std::size_t k = 0; k < s.size(); ++k) {
+    const char c = s[k];
     if (rng.bernoulli(rate)) {
       double roll = rng.uniform();
       if (roll < 0.4) {
         out.push_back("ACGT"[rng.uniform_below(4)]);
       } else if (roll < 0.7) {
         out.push_back("ACGT"[rng.uniform_below(4)]);
+        if (pos) (*pos)[k] = static_cast<i64>(out.size());
         out.push_back(c);
       }  // else deletion
     } else {
+      if (pos) (*pos)[k] = static_cast<i64>(out.size());
       out.push_back(c);
     }
   }
@@ -132,30 +141,48 @@ struct SeedTask {
   u64 pos_a = 0, pos_b = 0;
 };
 
-/// PacBio-like pairs in the spirit of the paper's E. coli presets: mostly
-/// true overlaps at ~15% per-read error, plus divergent (false-seed) pairs
-/// that exercise the early-termination path (§9's load-imbalance source).
-std::vector<SeedTask> make_seed_tasks(std::size_t n_pairs, std::size_t read_len,
+/// PacBio-like pairs shaped like the pipeline's stage-4 traffic: ~10 kb
+/// reads (the E. coli presets' mean read length) at ~15% per-read error.
+/// Three in four are true overlaps (the second half of a is the first half
+/// of b) anchored on a k-mer that both reads copy verbatim from the genome,
+/// so the extension runs along the true diagonal as a chained seed does;
+/// one in four is a divergent (false-seed) pair that exercises the
+/// early-termination path (§9's load-imbalance source).
+std::vector<SeedTask> make_seed_tasks(std::size_t n_pairs, std::size_t read_len, int k,
                                       util::Xoshiro256& rng) {
   std::vector<SeedTask> tasks;
   tasks.reserve(n_pairs);
-  for (std::size_t i = 0; i < n_pairs; ++i) {
+  const std::size_t shift = read_len / 2;
+  while (tasks.size() < n_pairs) {
     SeedTask t;
-    if (i % 4 == 3) {
-      // Divergent pair: unrelated reads, seed in the middle.
+    if (tasks.size() % 4 == 3) {
       t.a = random_dna(rng, read_len);
       t.b = random_dna(rng, read_len);
       t.pos_a = read_len / 2;
       t.pos_b = read_len / 2;
-    } else {
-      // True overlap over the second half of a / first half of b.
-      std::string genome = random_dna(rng, read_len + read_len / 2);
-      t.a = mutate(genome.substr(0, read_len), 0.15, rng);
-      t.b = mutate(genome.substr(read_len / 2, read_len), 0.15, rng);
-      t.pos_a = std::min<u64>(t.a.size() - 32, 3 * read_len / 4);
-      t.pos_b = std::min<u64>(t.b.size() - 32, read_len / 4);
+      tasks.push_back(std::move(t));
+      continue;
     }
-    tasks.push_back(std::move(t));
+    std::string genome = random_dna(rng, read_len + shift);
+    std::vector<i64> map_a, map_b;
+    t.a = mutate(genome.substr(0, read_len), 0.15, rng, &map_a);
+    t.b = mutate(genome.substr(shift, read_len), 0.15, rng, &map_b);
+    // First genome k-mer from the middle of the shared span [shift,
+    // read_len) that both reads kept unbroken.
+    auto kept = [k](const std::vector<i64>& map, std::size_t g) {
+      for (int d = 0; d < k; ++d) {
+        if (map[g + d] < 0 || map[g + d] != map[g] + d) return false;
+      }
+      return true;
+    };
+    for (std::size_t g = shift + shift / 2; g + k <= read_len; ++g) {
+      if (kept(map_a, g) && kept(map_b, g - shift)) {
+        t.pos_a = static_cast<u64>(map_a[g]);
+        t.pos_b = static_cast<u64>(map_b[g - shift]);
+        tasks.push_back(std::move(t));
+        break;
+      }
+    }  // no shared k-mer survived: draw another pair
   }
   return tasks;
 }
@@ -164,7 +191,7 @@ BenchRow bench_xdrop(std::size_t n_pairs, std::size_t read_len, int reps,
                      util::Xoshiro256& rng) {
   const int k = 17, xdrop = 25;
   const align::Scoring sc;
-  auto tasks = make_seed_tasks(n_pairs, read_len, rng);
+  auto tasks = make_seed_tasks(n_pairs, read_len, k, rng);
 
   u64 sum_ref = 0, cells_ref = 0;
   BenchRow row;
@@ -547,7 +574,7 @@ int main(int argc, char** argv) {
     rows.push_back(bench_consolidate(60'000, 4'000, reps, rng));
     rows.push_back(bench_radix_consolidate(60'000, 4'000, reps, rng));
   } else {
-    rows.push_back(bench_xdrop(400, 4000, reps, rng));
+    rows.push_back(bench_xdrop(200, 10'000, reps, rng));
     rows.push_back(bench_sw(600, 300, reps, rng));
     rows.push_back(bench_consolidate(2'000'000, 60'000, reps, rng));
     rows.push_back(bench_radix_consolidate(2'000'000, 60'000, reps, rng));

@@ -24,9 +24,20 @@
 namespace dibella::align {
 
 struct Workspace {
-  /// X-drop antidiagonal bands: three rotating buffers (d-2, d-1, d). The
-  /// kernel trims windows by bookkeeping only, so rotation is pointer swaps.
-  std::vector<int> xband[3];
+  /// X-drop antidiagonal bands: three rotating rows (d-2, d-1, d) of int16
+  /// score offsets from a per-extension base that moves up by 8192 as the
+  /// best score climbs, 8 lanes per SSE2 chunk (xdrop.hpp has the
+  /// exactness bound). Each row is written in whole chunks from element 0
+  /// (the i-index where its sweep starts), behind 8 dead cells and followed
+  /// by 8 more, so every parent load is an unconditional unaligned load
+  /// that reads dead (-32768) outside the row's cells. Windows are trimmed
+  /// by bookkeeping only, so rotation is pointer swaps. Each row grows to
+  /// at most min(n, m) + 24 cells of the longest extension.
+  std::vector<i16> xband[3];
+
+  /// The same rows as int32 scores, used only by calls outside the int16
+  /// exactness bound (see xdrop.hpp); no preset or default reaches them.
+  std::vector<i32> xband_wide[3];
 
   /// Smith-Waterman DP rows (previous / current).
   std::vector<int> sw_row[2];

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "align/xdrop.hpp"
 #include "comm/fault.hpp"
 #include "comm/world.hpp"
 #include "core/checkpoint.hpp"
@@ -75,7 +77,7 @@ pipeline:
                               only the best chain's anchor — one extension
                               per pair (default)
                         off = extend every surviving seed, keep the best
-  --xdrop=N             x-drop termination threshold (default 25)
+  --xdrop=N             x-drop termination threshold, 0..10^8 (default 25)
   --min-score=N         drop alignments scoring below N (default 0)
   --bloom-fpr=F         Bloom filter false-positive rate (default 0.05)
   --overlap-comm=MODE   on  = nonblocking batched exchanges overlapped with
@@ -225,6 +227,18 @@ i64 parse_i64(const util::Args& args, const std::string& key, i64 fallback) {
     throw UsageError("--" + key + "=" + v + " is not an integer");
   }
   return parsed;
+}
+
+/// parse_i64 narrowed to an int in [lo, hi]: an out-of-range value is a
+/// usage error instead of a silent wrap.
+int parse_int_in(const util::Args& args, const std::string& key, int fallback, i64 lo,
+                 i64 hi) {
+  const i64 v = parse_i64(args, key, fallback);
+  if (v < lo || v > hi) {
+    throw UsageError("--" + key + " must be in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "]");
+  }
+  return static_cast<int>(v);
 }
 
 double parse_double(const util::Args& args, const std::string& key, double fallback) {
@@ -508,8 +522,9 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
   cfg.assumed_coverage = coverage;
   cfg.assumed_error_rate = error_rate;
   cfg.bloom_fpr = parse_double(args, "bloom-fpr", cfg.bloom_fpr);
-  cfg.xdrop = static_cast<int>(parse_i64(args, "xdrop", cfg.xdrop));
-  cfg.min_report_score = static_cast<int>(parse_i64(args, "min-score", 0));
+  cfg.xdrop = parse_int_in(args, "xdrop", cfg.xdrop, 0, align::kMaxXdrop);
+  cfg.min_report_score = parse_int_in(args, "min-score", 0, std::numeric_limits<int>::min(),
+                                      std::numeric_limits<int>::max());
   const std::string policy = args.get("seed-policy", "one");
   if (policy == "one") {
     cfg.seed_filter = overlap::SeedFilterConfig::one_seed();

@@ -2,8 +2,10 @@
 // the optimized x-drop / Smith-Waterman implementations must produce
 // bitwise-identical scores, spans, and `cells` counters to the retained
 // reference kernels (align::ref) across randomized (length, error rate,
-// scoring, x-drop) combinations — including empty and one-sided extensions
-// and reverse-complement-orientation seeds.
+// scoring, x-drop) combinations — including empty and one-sided extensions,
+// reverse-complement-orientation seeds, every length pair around the 8-lane
+// chunk width, pipeline-shaped 10 kb pairs, extensions long enough to move
+// the int16 score base, and calls on both sides of the int16/int32 cut.
 //
 // This binary also replaces the global operator new/delete with counting
 // versions to prove the tentpole claim directly: after a warm-up pass, the
@@ -70,18 +72,26 @@ std::string random_dna(dibella::util::Xoshiro256& rng, std::size_t n) {
   return s;
 }
 
-std::string mutate(const std::string& s, double rate, dibella::util::Xoshiro256& rng) {
+/// `s` with substitutions, insertions and deletions at `rate`. When `pos` is
+/// given, (*pos)[k] is the output index of s[k], or -1 where s[k] was
+/// substituted or deleted.
+std::string mutate(const std::string& s, double rate, dibella::util::Xoshiro256& rng,
+                   std::vector<dibella::i64>* pos = nullptr) {
   std::string out;
-  for (char c : s) {
+  if (pos) pos->assign(s.size(), -1);
+  for (std::size_t k = 0; k < s.size(); ++k) {
+    const char c = s[k];
     if (rng.bernoulli(rate)) {
       double roll = rng.uniform();
       if (roll < 0.4) {
         out.push_back("ACGT"[rng.uniform_below(4)]);
       } else if (roll < 0.7) {
         out.push_back("ACGT"[rng.uniform_below(4)]);
+        if (pos) (*pos)[k] = static_cast<dibella::i64>(out.size());
         out.push_back(c);
       }  // else deletion
     } else {
+      if (pos) (*pos)[k] = static_cast<dibella::i64>(out.size());
       out.push_back(c);
     }
   }
@@ -234,6 +244,147 @@ TEST(AlignDifferential, AlignFromSeedMatchesReferenceInRcFrames) {
     auto got = da::align_from_seed(a, b_rc, pos_a, pos_b, k, sc, 50, ws);
     expect_seed_equal(got, want, "rc trial=" + std::to_string(trial));
   }
+}
+
+TEST(AlignDifferential, XdropMatchesReferenceAroundTheLaneWidth) {
+  // Every sequence-length pair in 0..17 (around the 8-lane chunk width), so
+  // the chunks that straddle the DP rectangle's edges run, in the forward
+  // frame (xdrop_extend) and the reversed frame (the left extension of
+  // align_from_seed with the seed at the end of both sequences).
+  dibella::util::Xoshiro256 rng(707);
+  da::Workspace ws;
+  const da::Scoring sc;
+  int cases = 0;
+  for (std::size_t n = 0; n <= 17; ++n) {
+    for (std::size_t m = 0; m <= 17; ++m) {
+      for (double rate : {0.0, 0.15, -1.0}) {
+        for (int xd : {0, 1, 5, 25}) {
+          const std::string genome = random_dna(rng, std::max(n, m));
+          const std::string a = genome.substr(0, n);
+          const std::string b =
+              rate < 0 ? random_dna(rng, m) : mutate(genome, rate, rng).substr(0, m);
+          const std::string what = "n=" + std::to_string(n) + " m=" + std::to_string(m) +
+                                   " rate=" + std::to_string(rate) +
+                                   " xd=" + std::to_string(xd);
+          expect_extend_equal(da::xdrop_extend(a, b, sc, xd, ws),
+                              da::ref::xdrop_extend(a, b, sc, xd), what);
+          const std::string seed = "ACGTA";
+          expect_seed_equal(
+              da::align_from_seed(a + seed, b + seed, n, b.size(), 5, sc, xd, ws),
+              da::ref::align_from_seed(a + seed, b + seed, n, b.size(), 5, sc, xd),
+              "reversed frame " + what);
+          cases += 2;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 18 * 18 * 3 * 4 * 2);
+}
+
+TEST(AlignDifferential, PipelineShapedPairsMatchReference) {
+  // ~10 kb reads at 15% error (the E. coli presets' read length), anchored
+  // on a genome k-mer both reads copied verbatim, so both extensions run
+  // along the true diagonal through thousands of antidiagonals, in the
+  // forward frame and with b stored reverse-complemented as the alignment
+  // stage sees reverse-orientation pairs.
+  dibella::util::Xoshiro256 rng(808);
+  da::Workspace ws;
+  const da::Scoring sc;
+  const int k = 17;
+  const std::size_t len = 10'000, shift = len / 2;
+  int pairs = 0;
+  while (pairs < 8) {
+    const std::string genome = random_dna(rng, len + shift);
+    std::vector<dibella::i64> map_a, map_b;
+    const std::string a = mutate(genome.substr(0, len), 0.15, rng, &map_a);
+    const std::string b = mutate(genome.substr(shift, len), 0.15, rng, &map_b);
+    auto kept = [&](const std::vector<dibella::i64>& map, std::size_t g) {
+      for (int d = 0; d < k; ++d) {
+        if (map[g + d] < 0 || map[g + d] != map[g] + d) return false;
+      }
+      return true;
+    };
+    std::size_t g = shift + shift / 2;
+    while (g + k <= len && !(kept(map_a, g) && kept(map_b, g - shift))) ++g;
+    if (g + k > len) continue;  // no shared k-mer survived: draw again
+    const u64 pos_a = static_cast<u64>(map_a[g]);
+    const u64 pos_b = static_cast<u64>(map_b[g - shift]);
+    const bool rc = pairs % 2 == 1;
+    std::string_view b_frame = b;
+    if (rc) {
+      // The stored read is rc(b); the stage flips it back into a's frame.
+      const std::string stored = dibella::kmer::reverse_complement(b);
+      dibella::kmer::reverse_complement_into(stored, ws.b_rc);
+      b_frame = ws.b_rc;
+    }
+    const auto want = da::ref::align_from_seed(a, std::string(b_frame), pos_a, pos_b, k, sc, 25);
+    const auto got = da::align_from_seed(a, b_frame, pos_a, pos_b, k, sc, 25, ws);
+    expect_seed_equal(got, want, "pipeline-shaped pair " + std::to_string(pairs));
+    // A true overlap: the extension spans most of the 5 kb shared region.
+    EXPECT_GT(got.a_end - got.a_begin, 3'000u) << pairs;
+    ++pairs;
+  }
+}
+
+TEST(AlignDifferential, LongExtensionMovesTheScoreBase) {
+  // A 40 kb pair at 1% error scores ~38k, past what int16 holds: the lanes
+  // must move their score base (every 8192 above it) four times, in both
+  // frames.
+  dibella::util::Xoshiro256 rng(909);
+  da::Workspace ws;
+  const da::Scoring sc;
+  const std::string a = random_dna(rng, 40'000);
+  const std::string b = mutate(a, 0.01, rng);
+  const auto fwd = da::xdrop_extend(a, b, sc, 25, ws);
+  expect_extend_equal(fwd, da::ref::xdrop_extend(a, b, sc, 25), "forward frame");
+  EXPECT_GT(fwd.score, 32'767);
+  // Seed at the very end: the whole pair is one left (reversed) extension.
+  const std::string seed = "ACGTACGT";
+  const auto rev = da::align_from_seed(a + seed, b + seed, a.size(), b.size(), 8, sc, 25, ws);
+  expect_seed_equal(rev,
+                    da::ref::align_from_seed(a + seed, b + seed, a.size(), b.size(), 8, sc, 25),
+                    "reversed frame");
+  EXPECT_GT(rev.score, 32'767);
+}
+
+TEST(AlignDifferential, XdropMatchesReferenceAcrossTheInt16Bound) {
+  // The int16 lanes take xdrop <= 16000 with every |score| <= 1000; one
+  // past either limit takes the int32 path. Both sides must match the
+  // reference, including the extreme in-bound scoring whose score base
+  // moves every few matches.
+  dibella::util::Xoshiro256 rng(1010);
+  da::Workspace ws;
+  const std::vector<da::Scoring> scorings = {
+      {1, -2, -2}, {1000, -1000, -1000}, {1001, -2, -2}, {1, -1001, -2}, {3, -1000, -1001}};
+  int cases = 0;
+  for (const auto& sc : scorings) {
+    for (int xd : {25, 16'000, 16'001}) {
+      for (double rate : {0.05, 0.3, -1.0}) {
+        const std::string a = random_dna(rng, 120 + rng.uniform_below(80));
+        const std::string b = partner(a, rate, rng);
+        const std::string what = "match=" + std::to_string(sc.match) +
+                                 " mismatch=" + std::to_string(sc.mismatch) +
+                                 " gap=" + std::to_string(sc.gap) +
+                                 " xd=" + std::to_string(xd) + " rate=" + std::to_string(rate);
+        expect_extend_equal(da::xdrop_extend(a, b, sc, xd, ws),
+                            da::ref::xdrop_extend(a, b, sc, xd), what);
+        const u64 pa = a.size() / 2, pb = std::min<u64>(b.size() / 2, b.size() - 4);
+        if (b.size() >= 8) {
+          expect_seed_equal(da::align_from_seed(a, b, pa, pb, 4, sc, xd, ws),
+                            da::ref::align_from_seed(a, b, pa, pb, 4, sc, xd), "seed " + what);
+        }
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 5 * 3 * 3);
+}
+
+TEST(AlignDifferential, NegativeXdropIsRejected) {
+  da::Workspace ws;
+  EXPECT_THROW(da::xdrop_extend("ACGT", "ACGT", da::Scoring{}, -1, ws), dibella::Error);
+  EXPECT_THROW(da::align_from_seed("ACGTACGT", "ACGTACGT", 2, 2, 3, da::Scoring{}, -5, ws),
+               dibella::Error);
 }
 
 TEST(AlignDifferential, SmithWatermanMatchesReference) {

@@ -495,6 +495,31 @@ TEST_F(CliSmoke, MinimizerModeWritesSketchCounters) {
   EXPECT_GE(value_of("chain_anchors"), 0);
 }
 
+TEST(CliUsage, BadXdropIsAUsageError) {
+  // Negative values, values past the kernel's 10^8 cap, and values that
+  // used to wrap when narrowed to int (4294967321 wrapped to 25).
+  for (const char* bad : {"--xdrop=-1", "--xdrop=-5", "--xdrop=100000001",
+                          "--xdrop=4294967321"}) {
+    DriverResult r = run_driver({"--preset=tiny", "--ranks=1", "--no-output", bad});
+    EXPECT_EQ(r.exit_code, dibella::cli::kExitUsageError) << bad;
+    EXPECT_NE(r.err.find("xdrop"), std::string::npos) << bad;
+  }
+  DriverResult zero = run_driver({"--preset=tiny", "--ranks=1", "--no-output", "--xdrop=0"});
+  EXPECT_EQ(zero.exit_code, dibella::cli::kExitOk) << zero.err;
+}
+
+TEST(CliUsage, MinScoreMustFitAnInt) {
+  for (const char* bad : {"--min-score=2147483648", "--min-score=-2147483649",
+                          "--min-score=4294967296"}) {
+    DriverResult r = run_driver({"--preset=tiny", "--ranks=1", "--no-output", bad});
+    EXPECT_EQ(r.exit_code, dibella::cli::kExitUsageError) << bad;
+    EXPECT_NE(r.err.find("min-score"), std::string::npos) << bad;
+  }
+  DriverResult lowest = run_driver(
+      {"--preset=tiny", "--ranks=1", "--no-output", "--min-score=-2147483648"});
+  EXPECT_EQ(lowest.exit_code, dibella::cli::kExitOk) << lowest.err;
+}
+
 TEST(CliUsage, BadEvalValueIsAUsageError) {
   DriverResult r = run_driver({"--preset=tiny", "--ranks=1", "--no-output",
                                "--eval=maybe"});
