@@ -102,10 +102,18 @@ void ablate_seed_policy() {
       {"d=1000 (scaled)", overlap::SeedFilterConfig::spaced(d1000), "e30-d1000"},
       {"d=k=17", overlap::SeedFilterConfig::all_seeds(17), "e30-dk"},
   };
+  u64 prev_extensions = 0;
   for (const auto& p : policies) {
     auto cfg = config_for(preset, p.f);
     const auto& runs = run_scaling(preset, cfg, p.key);
     const auto& c = runs[0].out.counters;
+    // Each policy keeps more seeds per multi-seed pair than the one before
+    // it, so extensions must strictly grow; equal counts mean the figure
+    // benches collapsed the policies (e.g. by chaining each pair to one
+    // anchor).
+    DIBELLA_CHECK(c.alignments_computed > prev_extensions,
+                  "ablation 3: extensions must strictly grow one-seed < d=1000 < d=k");
+    prev_extensions = c.alignments_computed;
     t.start_row();
     t.cell(p.label);
     t.cell(c.alignments_computed);

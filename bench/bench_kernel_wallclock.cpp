@@ -8,8 +8,6 @@
 //   * xdrop:        seed-anchored x-drop extension over ~10 kb noisy pairs
 //                   anchored on a true shared k-mer, plus divergent pairs
 //                   (ns/cell, pairs/s)
-//   * sw:           full Smith-Waterman with traceback on short windows
-//                   (ns/cell, pairs/s)
 //   * consolidate:  overlap-stage wire-task consolidation, sort-then-group vs
 //                   the node-based std::map (tasks/s)
 //   * radix_consolidate: the consolidation's sort itself — the hybrid
@@ -56,7 +54,6 @@
 #include <vector>
 
 #include "align/reference_kernels.hpp"
-#include "align/smith_waterman.hpp"
 #include "align/xdrop.hpp"
 #include "common/bench_common.hpp"
 #include "common/exchange_overlap.hpp"
@@ -219,48 +216,6 @@ BenchRow bench_xdrop(std::size_t n_pairs, std::size_t read_len, int reps,
   });
   DIBELLA_CHECK(sum_ref == sum_opt && cells_ref == cells_opt,
                 "xdrop optimized kernel diverged from reference");
-  row.cells = cells_opt;
-  row.baseline_ns_per_cell = 1e9 * row.baseline_s / static_cast<double>(cells_opt);
-  row.optimized_ns_per_cell = 1e9 * row.optimized_s / static_cast<double>(cells_opt);
-  row.throughput = static_cast<double>(row.items) / row.optimized_s;
-  return row;
-}
-
-BenchRow bench_sw(std::size_t n_pairs, std::size_t window, int reps,
-                  util::Xoshiro256& rng) {
-  const align::Scoring sc;
-  std::vector<std::pair<std::string, std::string>> pairs;
-  pairs.reserve(n_pairs);
-  for (std::size_t i = 0; i < n_pairs; ++i) {
-    std::string a = random_dna(rng, window);
-    pairs.emplace_back(a, mutate(a, 0.15, rng));
-  }
-
-  BenchRow row;
-  row.name = "smith_waterman";
-  row.unit = "pairs/s";
-  row.items = pairs.size();
-  u64 sum_ref = 0, cells_ref = 0;
-  row.baseline_s = best_of(reps, [&] {
-    sum_ref = cells_ref = 0;
-    for (const auto& [a, b] : pairs) {
-      auto r = align::ref::smith_waterman(a, b, sc);
-      sum_ref += static_cast<u64>(r.score) + r.a_begin + r.b_end;
-      cells_ref += r.cells;
-    }
-  });
-  align::Workspace ws;
-  u64 sum_opt = 0, cells_opt = 0;
-  row.optimized_s = best_of(reps, [&] {
-    sum_opt = cells_opt = 0;
-    for (const auto& [a, b] : pairs) {
-      auto r = align::smith_waterman(a, b, sc, ws);
-      sum_opt += static_cast<u64>(r.score) + r.a_begin + r.b_end;
-      cells_opt += r.cells;
-    }
-  });
-  DIBELLA_CHECK(sum_ref == sum_opt && cells_ref == cells_opt,
-                "smith_waterman optimized kernel diverged from reference");
   row.cells = cells_opt;
   row.baseline_ns_per_cell = 1e9 * row.baseline_s / static_cast<double>(cells_opt);
   row.optimized_ns_per_cell = 1e9 * row.optimized_s / static_cast<double>(cells_opt);
@@ -570,12 +525,10 @@ int main(int argc, char** argv) {
   std::vector<BenchRow> rows;
   if (smoke) {
     rows.push_back(bench_xdrop(60, 1200, reps, rng));
-    rows.push_back(bench_sw(120, 160, reps, rng));
     rows.push_back(bench_consolidate(60'000, 4'000, reps, rng));
     rows.push_back(bench_radix_consolidate(60'000, 4'000, reps, rng));
   } else {
     rows.push_back(bench_xdrop(200, 10'000, reps, rng));
-    rows.push_back(bench_sw(600, 300, reps, rng));
     rows.push_back(bench_consolidate(2'000'000, 60'000, reps, rng));
     rows.push_back(bench_radix_consolidate(2'000'000, 60'000, reps, rng));
   }

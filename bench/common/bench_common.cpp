@@ -15,7 +15,7 @@ namespace {
 // ---- on-disk cache of ScalingRun vectors --------------------------------
 // A simple versioned little-endian binary format; bump kCacheVersion when
 // any serialized structure changes.
-constexpr u64 kCacheVersion = 6;
+constexpr u64 kCacheVersion = 7;
 
 void put_u64(std::ostream& os, u64 v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -256,6 +256,9 @@ core::PipelineConfig config_for(const simgen::DatasetPreset& preset,
   cfg.assumed_error_rate = preset.reads.error_rate;
   cfg.assumed_coverage = preset.reads.coverage;
   cfg.seed_filter = seeds;
+  // The paper extends every seed that survives the seed filter; chaining
+  // would collapse each pair to one extension whatever the seed policy.
+  cfg.chain = false;
   // The paper's implementation is bulk-synchronous; the figure benches
   // reproduce it. bench_exchange_overlap quantifies the overlapped schedule.
   cfg.overlap_comm = false;

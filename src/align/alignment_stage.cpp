@@ -113,7 +113,6 @@ std::vector<AlignmentRecord> run_alignment_stage(
   }
   extend_span.arg("pairs", res.pairs_aligned);
   extend_span.arg("cells", res.dp_cells);
-  res.sw_band_fallbacks = ws.sw_band_fallbacks;
   // Work-based compute accounting: DP cells dominate; reverse-complement
   // construction and read access are byte-copy-bounded. Exact per-rank unit
   // counts preserve the data-dependent load imbalance the paper studies.

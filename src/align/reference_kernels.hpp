@@ -1,22 +1,40 @@
 #pragma once
 /// \file reference_kernels.hpp
-/// Retained reference implementations of the alignment kernels.
+/// Exact reference alignment kernels: the correctness oracles.
 ///
-/// These are the original straightforward implementations of x-drop
-/// extension, seed-anchored alignment, and (banded) Smith-Waterman, kept
-/// verbatim when the hot-path kernels in xdrop.cpp / smith_waterman.cpp were
-/// rebuilt around reusable workspaces. They are the correctness oracles: the
-/// optimized kernels must produce bitwise-identical scores, spans, and
-/// `cells` counters (see tests/test_align_differential.cpp), and the
-/// wall-clock benchmark (bench/bench_kernel_wallclock.cpp) reports speedup
-/// relative to them.
+/// x-drop extension and seed-anchored alignment are kept here as the
+/// original straightforward implementations the hot-path kernels in
+/// xdrop.cpp were rebuilt from; the hot path must produce bitwise-identical
+/// scores, spans and `cells` counters (tests/test_align_differential.cpp),
+/// and bench/bench_kernel_wallclock.cpp reports its speedup relative to
+/// them.
+///
+/// Full and banded Smith-Waterman live only here. No stage runs them: the
+/// paper's stage 4 uses seed-and-extend x-drop because full Smith-Waterman
+/// is O(nm) (§2). They are the exact local-alignment oracle in tests and
+/// the §2 O(nm) / banded O(n * band) cost points in the benches.
 ///
 /// Do not optimize these. Clarity over speed is the point.
 
 #include <string_view>
 
-#include "align/smith_waterman.hpp"
+#include "align/scoring.hpp"
 #include "align/xdrop.hpp"
+#include "util/common.hpp"
+
+namespace dibella::align {
+
+/// Result of a (banded) Smith-Waterman local alignment.
+struct LocalAlignment {
+  int score = 0;
+  /// Half-open aligned spans; all zero when the best local score is 0. The
+  /// banded kernel keeps no traceback, so its begin positions stay zero.
+  u64 a_begin = 0, a_end = 0;
+  u64 b_begin = 0, b_end = 0;
+  u64 cells = 0;  ///< DP cells evaluated
+};
+
+}  // namespace dibella::align
 
 namespace dibella::align::ref {
 
@@ -30,12 +48,15 @@ ExtendResult xdrop_extend(std::string_view a, std::string_view b,
 SeedAlignment align_from_seed(std::string_view a, std::string_view b, u64 pos_a,
                               u64 pos_b, int k, const Scoring& scoring, int xdrop);
 
-/// Original full Smith-Waterman with traceback; unconditionally allocates
-/// the (n+1)x(m+1) direction matrix.
+/// Full Smith-Waterman with traceback: O(nm) time, and it allocates the
+/// (n+1)x(m+1) direction matrix, so keep inputs short.
 LocalAlignment smith_waterman(std::string_view a, std::string_view b,
                               const Scoring& scoring);
 
-/// Original banded Smith-Waterman (allocates two rows per call).
+/// Banded Smith-Waterman: only cells with |i - j| <= band are evaluated
+/// (score and end positions only, no traceback). The "limited number of
+/// mismatches" optimization of §2 that makes pairwise alignment linear in
+/// L. Allocates two rows per call; throws on a negative band.
 LocalAlignment banded_smith_waterman(std::string_view a, std::string_view b,
                                      const Scoring& scoring, i64 band);
 

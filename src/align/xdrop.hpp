@@ -52,7 +52,8 @@
 /// both sides of the int16/int32 cut.
 ///
 /// The paper calls SeqAn's implementation; this is a from-scratch equivalent
-/// property-tested against our exact Smith-Waterman (see tests/test_align.cpp).
+/// property-tested against the exact align::ref::smith_waterman (see
+/// tests/test_align.cpp).
 
 #include <string_view>
 

@@ -1,6 +1,8 @@
 #include "cli/driver.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +13,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "align/xdrop.hpp"
@@ -22,6 +25,7 @@
 #include "eval/report.hpp"
 #include "io/fastx.hpp"
 #include "io/truth.hpp"
+#include "kmer/kmer.hpp"
 #include "netsim/cost_model.hpp"
 #include "netsim/platform.hpp"
 #include "obs/profile.hpp"
@@ -216,29 +220,29 @@ struct UsageError : Error {
   using Error::Error;
 };
 
-/// Strict numeric option parsing: Args::get_i64/get_double silently fall
-/// back on garbage, which would let --ranks=abc run with the default.
-i64 parse_i64(const util::Args& args, const std::string& key, i64 fallback) {
+/// Strict integer option parsing. Args::get_i64 silently falls back on
+/// garbage, which would let --ranks=abc run with the default, and a bare
+/// narrowing cast wraps (--k=4294967313 would run as k = 17). Anything that
+/// is not an integer in [lo, hi] is a usage error, a value strtoll cannot
+/// hold (ERANGE) included, so the narrowing to T is exact.
+template <typename T>
+T parse_int_in(const util::Args& args, const std::string& key, T fallback, i64 lo,
+               i64 hi) {
+  DIBELLA_CHECK(std::in_range<T>(lo) && std::in_range<T>(hi) && lo <= hi,
+                "parse_int_in: [lo, hi] must fit the option's type");
   if (!args.has(key)) return fallback;
   const std::string v = args.get(key, "");
   char* end = nullptr;
-  i64 parsed = static_cast<i64>(std::strtoll(v.c_str(), &end, 10));
+  errno = 0;
+  const long long parsed = std::strtoll(v.c_str(), &end, 10);
   if (v.empty() || end != v.c_str() + v.size()) {
     throw UsageError("--" + key + "=" + v + " is not an integer");
   }
-  return parsed;
-}
-
-/// parse_i64 narrowed to an int in [lo, hi]: an out-of-range value is a
-/// usage error instead of a silent wrap.
-int parse_int_in(const util::Args& args, const std::string& key, int fallback, i64 lo,
-                 i64 hi) {
-  const i64 v = parse_i64(args, key, fallback);
-  if (v < lo || v > hi) {
+  if (errno == ERANGE || parsed < lo || parsed > hi) {
     throw UsageError("--" + key + " must be in [" + std::to_string(lo) + ", " +
                      std::to_string(hi) + "]");
   }
-  return static_cast<int>(v);
+  return static_cast<T>(parsed);
 }
 
 double parse_double(const util::Args& args, const std::string& key, double fallback) {
@@ -252,13 +256,18 @@ double parse_double(const util::Args& args, const std::string& key, double fallb
   return parsed;
 }
 
-/// Byte sizes with optional K/M/G binary suffix: "64M" -> 64 * 2^20.
+/// Byte sizes with optional K/M/G binary suffix: "64M" -> 64 * 2^20. Like
+/// parse_int_in, a sign (strtoull would wrap "-1" to 2^64 - 1) or a size
+/// past 2^64 - 1 is a usage error.
 u64 parse_size(const util::Args& args, const std::string& key, u64 fallback) {
   if (!args.has(key)) return fallback;
   const std::string v = args.get(key, "");
   char* end = nullptr;
+  errno = 0;
   const u64 parsed = static_cast<u64>(std::strtoull(v.c_str(), &end, 10));
-  if (end == v.c_str()) throw UsageError("--" + key + "=" + v + " is not a byte size");
+  if (v.empty() || std::isdigit(static_cast<unsigned char>(v[0])) == 0) {
+    throw UsageError("--" + key + "=" + v + " is not a byte size");
+  }
   u64 scale = 1;
   if (end != v.c_str() + v.size() && end == v.c_str() + v.size() - 1) {
     switch (*end) {
@@ -268,8 +277,11 @@ u64 parse_size(const util::Args& args, const std::string& key, u64 fallback) {
       default: break;
     }
   }
-  if (v.empty() || end != v.c_str() + v.size()) {
+  if (end != v.c_str() + v.size()) {
     throw UsageError("--" + key + "=" + v + " is not a byte size (try 64M)");
+  }
+  if (errno == ERANGE || parsed > std::numeric_limits<u64>::max() / scale) {
+    throw UsageError("--" + key + "=" + v + " does not fit in 64 bits");
   }
   return parsed * scale;
 }
@@ -457,19 +469,18 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
                      "' (options are --key=value)");
   }
 
-  const int ranks = static_cast<int>(parse_i64(args, "ranks", 4));
-  if (ranks < 1) throw UsageError("--ranks must be >= 1");
+  constexpr i64 kIntMax = std::numeric_limits<int>::max();
+  constexpr i64 kU32Max = std::numeric_limits<u32>::max();
+  const int ranks = parse_int_in(args, "ranks", 4, 1, kIntMax);
   // Default ranks-per-node: the largest divisor of ranks that is <= 4, so an
   // explicit --ranks=6 doesn't trip the divisibility check below.
-  i64 default_rpn = 1;
-  for (i64 d = 2; d <= std::min<i64>(4, ranks); ++d) {
+  int default_rpn = 1;
+  for (int d = 2; d <= std::min(4, ranks); ++d) {
     if (ranks % d == 0) default_rpn = d;
   }
-  int ranks_per_node = static_cast<int>(args.has("ranks-per-node")
-                                            ? parse_i64(args, "ranks-per-node", 0)
-                                            : default_rpn);
-  if (ranks_per_node < 1 || ranks % ranks_per_node != 0) {
-    throw UsageError("--ranks-per-node must be >= 1 and divide --ranks");
+  const int ranks_per_node = parse_int_in(args, "ranks-per-node", default_rpn, 1, kIntMax);
+  if (ranks % ranks_per_node != 0) {
+    throw UsageError("--ranks-per-node must divide --ranks");
   }
 
   // --- input: user file or simulated preset.
@@ -516,21 +527,21 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
 
   // --- pipeline configuration.
   core::PipelineConfig cfg;
-  cfg.k = static_cast<int>(parse_i64(args, "k", 17));
-  cfg.min_kmer_count = static_cast<u32>(parse_i64(args, "min-kmer-count", 2));
-  cfg.max_kmer_count = static_cast<u32>(parse_i64(args, "max-kmer-count", 0));
+  cfg.k = parse_int_in(args, "k", 17, 1, kmer::Kmer::max_k());
+  cfg.min_kmer_count = parse_int_in<u32>(args, "min-kmer-count", 2, 0, kU32Max);
+  cfg.max_kmer_count = parse_int_in<u32>(args, "max-kmer-count", 0, 0, kU32Max);
   cfg.assumed_coverage = coverage;
   cfg.assumed_error_rate = error_rate;
   cfg.bloom_fpr = parse_double(args, "bloom-fpr", cfg.bloom_fpr);
   cfg.xdrop = parse_int_in(args, "xdrop", cfg.xdrop, 0, align::kMaxXdrop);
-  cfg.min_report_score = parse_int_in(args, "min-score", 0, std::numeric_limits<int>::min(),
-                                      std::numeric_limits<int>::max());
+  cfg.min_report_score =
+      parse_int_in(args, "min-score", 0, std::numeric_limits<int>::min(), kIntMax);
   const std::string policy = args.get("seed-policy", "one");
   if (policy == "one") {
     cfg.seed_filter = overlap::SeedFilterConfig::one_seed();
   } else if (policy == "spaced") {
     cfg.seed_filter = overlap::SeedFilterConfig::spaced(
-        static_cast<u32>(parse_i64(args, "spacing", 1000)));
+        parse_int_in<u32>(args, "spacing", 1000, 0, kU32Max));
   } else if (policy == "all") {
     cfg.seed_filter = overlap::SeedFilterConfig::all_seeds(cfg.k);
   } else {
@@ -539,12 +550,7 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
   // Sketching defaults on (w = 10) for simulated presets, where the issue's
   // density/recall trade-off is pinned by the eval tier; user-supplied input
   // stays dense unless asked.
-  const i64 default_w = simulated ? 10 : 0;
-  const i64 minimizer_w = parse_i64(args, "minimizer-w", default_w);
-  if (minimizer_w < 0 || minimizer_w > 255) {
-    throw UsageError("--minimizer-w must be in [0, 255]");
-  }
-  cfg.minimizer_w = static_cast<u32>(minimizer_w);
+  cfg.minimizer_w = parse_int_in<u32>(args, "minimizer-w", simulated ? 10 : 0, 0, 255);
   const std::string syncmer_mode = args.get("syncmer", "off");
   if (syncmer_mode == "on") {
     cfg.syncmer = true;
@@ -582,14 +588,12 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
   } else {
     throw UsageError("unknown --stage5=" + stage5_mode + " (expected on|off)");
   }
-  cfg.min_overlap_score =
-      static_cast<i32>(parse_i64(args, "min-overlap-score", cfg.min_overlap_score));
+  cfg.min_overlap_score = parse_int_in(args, "min-overlap-score", cfg.min_overlap_score,
+                                       std::numeric_limits<i32>::min(), kIntMax);
   if (args.has("gfa") && !cfg.stage5) {
     throw UsageError("--gfa requires --stage5=on");
   }
-  const i64 blocks = parse_i64(args, "blocks", 1);
-  if (blocks < 1) throw UsageError("--blocks must be >= 1");
-  cfg.blocks = static_cast<u32>(blocks);
+  cfg.blocks = parse_int_in<u32>(args, "blocks", 1, 1, kU32Max);
   cfg.memory_budget_bytes = parse_size(args, "memory-budget", 0);
   if (cfg.memory_budget_bytes > 0 && cfg.blocks < 2) {
     throw UsageError("--memory-budget requires --blocks >= 2 (nothing to evict)");
@@ -681,10 +685,8 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
         << truth_path << "\n";
   }
   cfg.eval = eval_on;
-  const i64 eval_min_overlap = parse_i64(args, "eval-min-overlap",
-                                         static_cast<i64>(default_eval_min_overlap));
-  if (eval_min_overlap < 1) throw UsageError("--eval-min-overlap must be >= 1");
-  cfg.eval_min_overlap = static_cast<u64>(eval_min_overlap);
+  cfg.eval_min_overlap = parse_int_in(args, "eval-min-overlap", default_eval_min_overlap, 1,
+                                      std::numeric_limits<i64>::max());
 
   // --- observability: spans are collected whenever any consumer asks.
   const bool profile_report = args.get_bool("profile-report", false);

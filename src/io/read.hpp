@@ -5,7 +5,6 @@
 /// Algorithm 1 and the odd/even owner heuristic operate on these IDs.
 
 #include <string>
-#include <vector>
 
 #include "util/common.hpp"
 
@@ -18,9 +17,5 @@ struct Read {
   std::string seq;    ///< base sequence
   std::string qual;   ///< per-base quality string (may be empty for FASTA)
 };
-
-/// Total sequence bytes over a set of reads (the partitioning weight the
-/// paper uses: "by the read size in memory").
-u64 total_sequence_bytes(const std::vector<Read>& reads);
 
 }  // namespace dibella::io

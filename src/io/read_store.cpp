@@ -93,12 +93,6 @@ ReadStore ReadStore::from_local_block(std::vector<Read> local,
   return store;
 }
 
-const std::vector<Read>& ReadStore::local_reads() const {
-  DIBELLA_CHECK(block_cfg_.blocks == 1,
-                "local_reads: no resident vector in block mode; use local_read(gid)");
-  return local_;
-}
-
 bool ReadStore::is_local(u64 gid) const {
   u64 lo = partition_.first_gid(rank_);
   return gid >= lo && gid < lo + partition_.count(rank_);

@@ -113,10 +113,6 @@ class ReadStore {
   int rank() const { return rank_; }
   const ReadPartition& partition() const { return partition_; }
 
-  /// The resident local read vector. Only valid on the in-memory path
-  /// (blocks() == 1); block-mode callers must iterate via local_read().
-  const std::vector<Read>& local_reads() const;
-
   /// Number of out-of-core blocks (1 = in-memory path).
   u32 blocks() const { return block_cfg_.blocks; }
 

@@ -1,10 +1,13 @@
 #pragma once
 /// \file unitig.hpp
 /// Unitig extraction and GFA1 emission over a (reduced) string graph's
-/// surviving edge set. Sequential: stage 5 funnels the surviving edges to
-/// rank 0 (exactly as an MPI assembler funnels the final graph to a writer
-/// rank), so extraction and serialization see the canonical sorted edge
-/// list and are byte-deterministic regardless of rank count or schedule.
+/// surviving edge set. Stage 5 does not run `extract_unitigs`: each rank
+/// walks its owned slice into a fragment and the main thread stitches the
+/// fragments (unitig_walk.hpp). `extract_unitigs` is the sequential oracle
+/// that stitching must equal. The writers here run on the main thread over
+/// the rank-order concatenation of the ranks' surviving edges, which is
+/// already the canonical sorted edge list, so the output is byte-
+/// deterministic regardless of rank count or schedule.
 ///
 /// A unitig is a maximal simple path: every interior vertex has degree 2,
 /// and a chain terminates at a tip (degree 1), a branch (degree >= 3), or —

@@ -14,11 +14,6 @@ u64 Xoshiro256::uniform_below(u64 n) {
   }
 }
 
-i64 Xoshiro256::uniform_range(i64 lo, i64 hi) {
-  DIBELLA_CHECK(lo <= hi, "uniform_range: lo > hi");
-  return lo + static_cast<i64>(uniform_below(static_cast<u64>(hi - lo) + 1));
-}
-
 double Xoshiro256::normal() {
   if (have_cached_normal_) {
     have_cached_normal_ = false;

@@ -71,9 +71,6 @@ class Xoshiro256 {
   /// Uniform integer in [0, n). Requires n > 0.
   u64 uniform_below(u64 n);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  i64 uniform_range(i64 lo, i64 hi);
-
   /// Standard normal variate (Box–Muller).
   double normal();
 

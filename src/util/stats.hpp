@@ -5,7 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <limits>
 #include <vector>
 
 #include "util/common.hpp"
@@ -44,20 +44,11 @@ class RunningStats {
 /// an all-zero vector.
 double load_imbalance(const std::vector<double>& per_rank);
 
-/// Sum of a vector.
-template <class T>
-T vec_sum(const std::vector<T>& v) {
-  return std::accumulate(v.begin(), v.end(), T{});
-}
-
 /// Maximum of a vector (T{} for empty).
 template <class T>
 T vec_max(const std::vector<T>& v) {
   return v.empty() ? T{} : *std::max_element(v.begin(), v.end());
 }
-
-/// Arithmetic mean of a vector (0 for empty).
-double vec_mean(const std::vector<double>& v);
 
 /// N50 of a set of lengths: the largest L such that pieces of length >= L
 /// cover at least half the total (the assembly-contiguity standard). 0 for

@@ -520,6 +520,39 @@ TEST(CliUsage, MinScoreMustFitAnInt) {
   EXPECT_EQ(lowest.exit_code, dibella::cli::kExitOk) << lowest.err;
 }
 
+TEST(CliUsage, IntegerFlagsThatWouldWrapAreUsageErrors) {
+  // Each value used to be narrowed by a bare cast and run: --k=4294967313
+  // as k = 17, --min-kmer-count=-1 as 4294967295, --ranks=4294967297 as one
+  // rank, --blocks=4294967298 as two blocks. The --ranks values are chosen
+  // to narrow to a small count, so a regression runs one rank, not billions.
+  for (const char* bad :
+       {"--k=4294967313", "--k=0", "--k=33", "--min-kmer-count=-1",
+        "--max-kmer-count=4294967296", "--ranks=4294967297", "--ranks-per-node=4294967297",
+        "--blocks=4294967298", "--min-overlap-score=2147483648"}) {
+    DriverResult r = run_driver({"--preset=tiny", "--ranks=1", "--no-output", bad});
+    EXPECT_EQ(r.exit_code, dibella::cli::kExitUsageError) << bad;
+    const std::string flag = std::string(bad).substr(0, std::string(bad).find('='));
+    EXPECT_NE(r.err.find(flag), std::string::npos) << bad << ": " << r.err;
+  }
+  DriverResult spacing = run_driver({"--preset=tiny", "--ranks=1", "--no-output",
+                                     "--seed-policy=spaced", "--spacing=-1"});
+  EXPECT_EQ(spacing.exit_code, dibella::cli::kExitUsageError);
+  EXPECT_NE(spacing.err.find("--spacing"), std::string::npos) << spacing.err;
+}
+
+TEST(CliUsage, IntegerOverflowIsAUsageError) {
+  // strtoll saturates and sets ERANGE past the int64 range; the saturated
+  // value must not be taken (--k=99999999999999999999 used to exit 1 from
+  // deep in the k-mer parser, --eval-min-overlap ran with 2^63 - 1, and
+  // --min-overlap-score ran with -1).
+  for (const char* bad :
+       {"--k=99999999999999999999", "--eval-min-overlap=99999999999999999999",
+        "--min-overlap-score=99999999999999999999"}) {
+    DriverResult r = run_driver({"--preset=tiny", "--ranks=1", "--no-output", bad});
+    EXPECT_EQ(r.exit_code, dibella::cli::kExitUsageError) << bad;
+  }
+}
+
 TEST(CliUsage, BadEvalValueIsAUsageError) {
   DriverResult r = run_driver({"--preset=tiny", "--ranks=1", "--no-output",
                                "--eval=maybe"});
@@ -601,8 +634,11 @@ TEST(CliUsage, MemoryBudgetWithoutBlocksIsAUsageError) {
 }
 
 TEST(CliUsage, MalformedMemoryBudgetIsAUsageError) {
-  for (const char* bad : {"--memory-budget=", "--memory-budget=M",
-                          "--memory-budget=12Q"}) {
+  // A sign or a size past 2^64 - 1 used to wrap silently (-1 ran as an
+  // unlimited budget, 17179869184G as none).
+  for (const char* bad : {"--memory-budget=", "--memory-budget=M", "--memory-budget=12Q",
+                          "--memory-budget=-1", "--memory-budget=99999999999999999999",
+                          "--memory-budget=17179869184G"}) {
     DriverResult r = run_driver({"--preset=tiny", "--ranks=1", "--no-output",
                                  "--blocks=2", bad});
     EXPECT_EQ(r.exit_code, dibella::cli::kExitUsageError) << bad;
