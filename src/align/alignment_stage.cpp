@@ -16,7 +16,7 @@ std::vector<AlignmentRecord> run_alignment_stage(
   std::vector<AlignmentRecord> records;
   records.reserve(tasks.size());
 
-  // One workspace for the whole stage: DP bands, SW rows/traceback, and the
+  // One workspace for the whole stage: the x-drop bands and the
   // reverse-complement buffer are reused across every task and seed, so the
   // steady-state loop performs zero heap allocations per seed.
   Workspace ws;

@@ -12,6 +12,10 @@ namespace {
 /// length + the characters (fields are written individually, so no struct
 /// padding travels).
 constexpr std::size_t kReplyHeaderBytes = sizeof(u64) + sizeof(u32);
+/// Request gids per destination per batch.
+constexpr u64 kBatchRequestGids = u64{1} << 16;
+/// Serialized reply bytes per destination per batch.
+constexpr u64 kBatchReplyBytes = u64{1} << 20;
 }  // namespace
 
 ReadExchangeResult run_read_exchange(core::StageContext& ctx, io::ReadStore& store,
@@ -50,7 +54,7 @@ ReadExchangeResult run_read_exchange(core::StageContext& ctx, io::ReadStore& sto
     std::vector<std::size_t> cursors(static_cast<std::size_t>(P), 0);
     comm::run_exchange(
         ex,
-        [&] { return comm::post_slices(ex, requests, cursors, cfg.batch_request_gids); },
+        [&] { return comm::post_slices(ex, requests, cursors, kBatchRequestGids); },
         [&](const comm::RecvBatch& batch) {
           for (int s = 0; s < P; ++s) {
             batch.append_from(s, incoming_requests[static_cast<std::size_t>(s)]);
@@ -78,7 +82,7 @@ ReadExchangeResult run_read_exchange(core::StageContext& ctx, io::ReadStore& sto
           const auto& gids = incoming_requests[static_cast<std::size_t>(requester)];
           auto& cur = reply_cursors[static_cast<std::size_t>(requester)];
           u64 packed_dest = 0;
-          while (cur < gids.size() && packed_dest < cfg.batch_reply_bytes) {
+          while (cur < gids.size() && packed_dest < kBatchReplyBytes) {
             const io::Read& r = store.local_read(gids[cur]);
             u64 gid = gids[cur];
             u32 len = static_cast<u32>(r.seq.size());

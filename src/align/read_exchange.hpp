@@ -31,8 +31,6 @@ struct ReadExchangeConfig {
   /// request/reply batches with serialization, or run bulk-synchronous
   /// supersteps. Identical replication.
   bool overlap_comm = true;
-  u64 batch_request_gids = 1u << 16;    ///< request gids per destination per batch
-  u64 batch_reply_bytes = 1u << 20;     ///< serialized reply bytes per destination per batch
   u64 exchange_chunk_bytes = 1u << 20;  ///< Exchanger chunk granularity
 };
 

@@ -3,8 +3,6 @@
 #include <bit>
 #include <cmath>
 
-#include "util/random.hpp"
-
 namespace dibella::bloom {
 
 u64 BloomFilter::optimal_bits(u64 n, double fpr) {
@@ -64,47 +62,6 @@ double BloomFilter::theoretical_fpr(u64 items) const {
   double frac = 1.0 - std::exp(-static_cast<double>(hashes_) *
                                static_cast<double>(items) / static_cast<double>(bits_));
   return std::pow(frac, hashes_);
-}
-
-BlockedBloomFilter::BlockedBloomFilter(u64 expected_items, double target_fpr) {
-  // Same total size as the flat filter; round up to whole blocks. One extra
-  // hash compensates the per-block FPR loss.
-  u64 bits = BloomFilter::optimal_bits(expected_items, target_fpr);
-  blocks_ = std::max<u64>(1, (bits + 511) / 512);
-  hashes_ = std::min(16, BloomFilter::optimal_hashes(bits, expected_items) + 1);
-  words_.assign(blocks_ * kWordsPerBlock, 0);
-}
-
-void BlockedBloomFilter::insert(u64 h1, u64 h2) {
-  u64 base = (h1 % blocks_) * kWordsPerBlock;
-  for (int i = 0; i < hashes_; ++i) {
-    u64 b = util::mix64(h2 + static_cast<u64>(i)) & 511;
-    words_[base + b / 64] |= u64{1} << (b % 64);
-  }
-}
-
-bool BlockedBloomFilter::contains(u64 h1, u64 h2) const {
-  u64 base = (h1 % blocks_) * kWordsPerBlock;
-  for (int i = 0; i < hashes_; ++i) {
-    u64 b = util::mix64(h2 + static_cast<u64>(i)) & 511;
-    if (!(words_[base + b / 64] & (u64{1} << (b % 64)))) return false;
-  }
-  return true;
-}
-
-bool BlockedBloomFilter::test_and_insert(u64 h1, u64 h2) {
-  u64 base = (h1 % blocks_) * kWordsPerBlock;
-  bool present = true;
-  for (int i = 0; i < hashes_; ++i) {
-    u64 b = util::mix64(h2 + static_cast<u64>(i)) & 511;
-    u64& word = words_[base + b / 64];
-    u64 mask = u64{1} << (b % 64);
-    if (!(word & mask)) {
-      present = false;
-      word |= mask;
-    }
-  }
-  return present;
 }
 
 }  // namespace dibella::bloom

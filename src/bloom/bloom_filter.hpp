@@ -55,28 +55,4 @@ class BloomFilter {
   std::vector<u64> words_;
 };
 
-/// Cache-line blocked Bloom filter: the first hash picks a 512-bit block and
-/// all probes stay inside it, so one insert/lookup touches a single cache
-/// line. Slightly worse FPR for the same size, much better locality — the
-/// variant HPC k-mer counters (HipMer et al.) use. Benchmarked against the
-/// flat filter in bench_micro_kernels.
-class BlockedBloomFilter {
- public:
-  BlockedBloomFilter(u64 expected_items, double target_fpr);
-
-  void insert(u64 h1, u64 h2);
-  bool contains(u64 h1, u64 h2) const;
-  bool test_and_insert(u64 h1, u64 h2);
-
-  u64 block_count() const { return blocks_; }
-  int hash_count() const { return hashes_; }
-  u64 memory_bytes() const { return words_.size() * sizeof(u64); }
-
- private:
-  static constexpr u64 kWordsPerBlock = 8;  // 512 bits = one cache line
-  u64 blocks_;
-  int hashes_;
-  std::vector<u64> words_;
-};
-
 }  // namespace dibella::bloom

@@ -1,8 +1,8 @@
 #include "bloom/distributed_bloom.hpp"
 
+#include <cmath>
+
 #include "bloom/bloom_filter.hpp"
-#include "bloom/distributed_cardinality.hpp"
-#include "bloom/hyperloglog.hpp"
 #include "comm/exchanger.hpp"
 #include "kmer/occurrence_stream.hpp"
 
@@ -13,6 +13,17 @@ constexpr u64 kBloomSalt1 = 0xB100F117;
 constexpr u64 kBloomSalt2 = 0xB100F22E;
 }  // namespace
 
+u64 estimate_distinct_kmers(u64 parsed_instances, double error_rate, int k) {
+  // P[a k-mer window is error-free] = (1-e)^k; erroneous windows are almost
+  // surely unique (singletons), error-free windows collapse onto ~G genomic
+  // k-mers. distinct ~ errored + genomic ~ instances*(1-(1-e)^k) + margin.
+  double p_clean = std::pow(1.0 - error_rate, k);
+  double distinct = static_cast<double>(parsed_instances) * (1.0 - p_clean) +
+                    static_cast<double>(parsed_instances) * p_clean * 0.1;
+  // 10% safety headroom, and never size for zero.
+  return std::max<u64>(64, static_cast<u64>(distinct * 1.1));
+}
+
 BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& reads,
                                  const BloomStageConfig& cfg,
                                  dht::LocalKmerTable& table) {
@@ -21,23 +32,15 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
   const int P = comm.size();
   BloomStageResult result;
 
-  // --- cardinality estimate sizes this rank's Bloom partition: either the
-  // a-priori Eq. 2 + singleton-ratio estimate (§6, the default) or the
-  // HipMer-style distributed HyperLogLog pass. Uniform hashing gives each
-  // rank ~1/P of the distinct set.
-  u64 est_distinct = 0;
-  if (cfg.use_hyperloglog_cardinality) {
-    auto card = estimate_cardinality_hll(ctx, reads, cfg.k);
-    est_distinct = static_cast<u64>(card.estimate * 1.1) + 64;  // 10% headroom
-  } else {
-    u64 local_windows = 0;
-    const u64 first = reads.first_local_gid();
-    for (u64 g = first; g < first + reads.local_count(); ++g) {
-      local_windows += kmer::window_count(reads.local_length(g), cfg.k);
-    }
-    u64 total_windows = comm::allreduce_sum(comm, local_windows);
-    est_distinct = estimate_distinct_kmers(total_windows, cfg.assumed_error_rate, cfg.k);
+  // --- the a-priori Eq. 2 + singleton-ratio estimate (§6) sizes this rank's
+  // Bloom partition. Uniform hashing gives each rank ~1/P of the distinct set.
+  u64 local_windows = 0;
+  const u64 first = reads.first_local_gid();
+  for (u64 g = first; g < first + reads.local_count(); ++g) {
+    local_windows += kmer::window_count(reads.local_length(g), cfg.k);
   }
+  u64 total_windows = comm::allreduce_sum(comm, local_windows);
+  u64 est_distinct = estimate_distinct_kmers(total_windows, cfg.assumed_error_rate, cfg.k);
   if (cfg.sketch.enabled()) {
     // Sketching inserts only the sampled subset; scale the filter by the
     // scheme's expected density (an overestimate for the distinct count,

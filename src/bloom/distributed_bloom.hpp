@@ -28,10 +28,6 @@ struct BloomStageConfig {
   double bloom_fpr = 0.05;
   /// Assumed per-base error rate for the a-priori cardinality estimate.
   double assumed_error_rate = 0.15;
-  /// Size the Bloom filter with a distributed HyperLogLog pass instead of
-  /// the a-priori Eq. 2 estimate — HipMer's fallback for extreme genomes
-  /// (§6). Costs one extra scan over the reads.
-  bool use_hyperloglog_cardinality = false;
   /// Exchange schedule (comm::Exchanger::Config::overlap): overlap the batch
   /// exchange with packing/insertion, or run bulk-synchronous supersteps.
   /// Identical output.
@@ -57,6 +53,13 @@ inline constexpr u64 kOwnerSalt = 0x0B7A1A5C;
 inline int kmer_owner(const kmer::Kmer& km, int ranks) {
   return static_cast<int>(km.hash(kOwnerSalt) % static_cast<u64>(ranks));
 }
+
+/// The paper's a-priori cardinality estimate (§6: Eq. 2 + typical singleton
+/// ratios), the Bloom filter's only sizing rule: the number of distinct
+/// k-mers is close to the number of parsed k-mer instances scaled by the
+/// fraction expected to be distinct. With long-read error rates, up to ~98%
+/// of k-mers are singletons, so distinct ~ instances.
+u64 estimate_distinct_kmers(u64 parsed_instances, double error_rate, int k);
 
 /// Run stage 1 for this rank. `table` receives candidate (non-singleton)
 /// keys. Collective: every rank of the communicator must call this.

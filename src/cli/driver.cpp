@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -61,8 +62,10 @@ pipeline:
   --k=N                 k-mer length (default 17)
   --min-kmer-count=N    singleton floor (default 2)
   --max-kmer-count=N    repeat ceiling m; 0 = auto via BELLA model (default 0)
-  --coverage=F          assumed coverage for the auto-m model (preset supplies)
-  --error-rate=F        assumed per-base error rate (preset supplies)
+  --coverage=F          assumed coverage for the auto-m model, F > 0
+                        (preset supplies)
+  --error-rate=F        assumed per-base error rate, 0 <= F < 1 (preset
+                        supplies)
   --seed-policy=P       one | spaced | all (default one)
   --spacing=N           min seed distance for --seed-policy=spaced (default 1000)
   --minimizer-w=N       sketch each read before stages 1-3: only its window
@@ -83,7 +86,8 @@ pipeline:
                         off = extend every surviving seed, keep the best
   --xdrop=N             x-drop termination threshold, 0..10^8 (default 25)
   --min-score=N         drop alignments scoring below N (default 0)
-  --bloom-fpr=F         Bloom filter false-positive rate (default 0.05)
+  --bloom-fpr=F         Bloom filter false-positive rate, 0 < F < 1
+                        (default 0.05)
   --overlap-comm=MODE   on  = nonblocking batched exchanges overlapped with
                               compute (default)
                         off = bulk-synchronous pack -> exchange -> consume
@@ -245,15 +249,40 @@ T parse_int_in(const util::Args& args, const std::string& key, T fallback, i64 l
   return static_cast<T>(parsed);
 }
 
-double parse_double(const util::Args& args, const std::string& key, double fallback) {
+/// Which ends of a float option's range are themselves allowed.
+enum class Ends { kOpen, kClosedLow, kClosedHigh };
+
+/// Strict floating-point option parsing, the parse_int_in of float flags:
+/// anything that is not a finite number inside the option's range is a
+/// usage error. strtod accepts "nan" and "inf", and a NaN would slip past
+/// any range check, so finiteness is checked first.
+double parse_double_in(const util::Args& args, const std::string& key, double fallback,
+                       double lo, double hi, Ends ends) {
   if (!args.has(key)) return fallback;
   const std::string v = args.get(key, "");
   char* end = nullptr;
-  double parsed = std::strtod(v.c_str(), &end);
+  const double parsed = std::strtod(v.c_str(), &end);
   if (v.empty() || end != v.c_str() + v.size()) {
     throw UsageError("--" + key + "=" + v + " is not a number");
   }
+  const bool above_lo = ends == Ends::kClosedLow ? parsed >= lo : parsed > lo;
+  const bool below_hi = ends == Ends::kClosedHigh ? parsed <= hi : parsed < hi;
+  if (!std::isfinite(parsed) || !above_lo || !below_hi) {
+    std::ostringstream range;
+    range << (ends == Ends::kClosedLow ? '[' : '(') << lo << ", " << hi
+          << (ends == Ends::kClosedHigh ? ']' : ')');
+    throw UsageError("--" + key + " must be a number in " + range.str());
+  }
   return parsed;
+}
+
+/// An on|off option; any other value is a usage error.
+bool parse_on_off(const util::Args& args, const std::string& key, bool fallback) {
+  if (!args.has(key)) return fallback;
+  const std::string v = args.get(key, "");
+  if (v == "on") return true;
+  if (v == "off") return false;
+  throw UsageError("unknown --" + key + "=" + v + " (expected on|off)");
 }
 
 /// Byte sizes with optional K/M/G binary suffix: "64M" -> 64 * 2^20. Like
@@ -485,8 +514,9 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
 
   // --- input: user file or simulated preset.
   std::vector<io::Read> reads;
-  double coverage = parse_double(args, "coverage", 30.0);
-  double error_rate = parse_double(args, "error-rate", 0.15);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double coverage = parse_double_in(args, "coverage", 30.0, 0.0, kInf, Ends::kOpen);
+  double error_rate = parse_double_in(args, "error-rate", 0.15, 0.0, 1.0, Ends::kClosedLow);
   bool simulated = false;
   std::shared_ptr<const io::TruthTable> truth;
   u64 default_eval_min_overlap = 2000;
@@ -495,8 +525,7 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
     reads = load_reads(args.get("input", ""), out);
   } else {
     const std::string name = args.get("preset", "ecoli30x");
-    const double scale = parse_double(args, "scale", 0.01);
-    if (scale <= 0.0 || scale > 1.0) throw UsageError("--scale must be in (0, 1]");
+    const double scale = parse_double_in(args, "scale", 0.01, 0.0, 1.0, Ends::kClosedHigh);
     simgen::DatasetPreset preset;
     if (name == "tiny") {
       preset = simgen::tiny_test();
@@ -511,8 +540,9 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
     // --coverage / --error-rate override only the data-model *assumptions*
     // (auto-m); the simulation itself always uses the preset's values, so
     // report those here.
-    coverage = parse_double(args, "coverage", preset.reads.coverage);
-    error_rate = parse_double(args, "error-rate", preset.reads.error_rate);
+    coverage = parse_double_in(args, "coverage", preset.reads.coverage, 0.0, kInf, Ends::kOpen);
+    error_rate = parse_double_in(args, "error-rate", preset.reads.error_rate, 0.0, 1.0,
+                                 Ends::kClosedLow);
     auto sim = simgen::make_dataset(preset);
     truth = std::make_shared<const io::TruthTable>(simgen::truth_table(sim));
     default_eval_min_overlap = preset.min_true_overlap;
@@ -532,7 +562,7 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
   cfg.max_kmer_count = parse_int_in<u32>(args, "max-kmer-count", 0, 0, kU32Max);
   cfg.assumed_coverage = coverage;
   cfg.assumed_error_rate = error_rate;
-  cfg.bloom_fpr = parse_double(args, "bloom-fpr", cfg.bloom_fpr);
+  cfg.bloom_fpr = parse_double_in(args, "bloom-fpr", cfg.bloom_fpr, 0.0, 1.0, Ends::kOpen);
   cfg.xdrop = parse_int_in(args, "xdrop", cfg.xdrop, 0, align::kMaxXdrop);
   cfg.min_report_score =
       parse_int_in(args, "min-score", 0, std::numeric_limits<int>::min(), kIntMax);
@@ -551,43 +581,15 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
   // density/recall trade-off is pinned by the eval tier; user-supplied input
   // stays dense unless asked.
   cfg.minimizer_w = parse_int_in<u32>(args, "minimizer-w", simulated ? 10 : 0, 0, 255);
-  const std::string syncmer_mode = args.get("syncmer", "off");
-  if (syncmer_mode == "on") {
-    cfg.syncmer = true;
-  } else if (syncmer_mode == "off") {
-    cfg.syncmer = false;
-  } else {
-    throw UsageError("unknown --syncmer=" + syncmer_mode + " (expected on|off)");
-  }
+  cfg.syncmer = parse_on_off(args, "syncmer", false);
   if (cfg.syncmer &&
       (cfg.minimizer_w < 2 || cfg.minimizer_w > static_cast<u32>(cfg.k) - 1)) {
     throw UsageError("--syncmer=on needs 2 <= --minimizer-w <= k-1 (s = k - w + 1 "
                      "s-mers must fit inside a k-mer)");
   }
-  const std::string chain_mode = args.get("chain", "on");
-  if (chain_mode == "on") {
-    cfg.chain = true;
-  } else if (chain_mode == "off") {
-    cfg.chain = false;
-  } else {
-    throw UsageError("unknown --chain=" + chain_mode + " (expected on|off)");
-  }
-  const std::string overlap_mode = args.get("overlap-comm", "on");
-  if (overlap_mode == "on") {
-    cfg.overlap_comm = true;
-  } else if (overlap_mode == "off") {
-    cfg.overlap_comm = false;
-  } else {
-    throw UsageError("unknown --overlap-comm=" + overlap_mode + " (expected on|off)");
-  }
-  const std::string stage5_mode = args.get("stage5", "on");
-  if (stage5_mode == "on") {
-    cfg.stage5 = true;
-  } else if (stage5_mode == "off") {
-    cfg.stage5 = false;
-  } else {
-    throw UsageError("unknown --stage5=" + stage5_mode + " (expected on|off)");
-  }
+  cfg.chain = parse_on_off(args, "chain", true);
+  cfg.overlap_comm = parse_on_off(args, "overlap-comm", true);
+  cfg.stage5 = parse_on_off(args, "stage5", true);
   cfg.min_overlap_score = parse_int_in(args, "min-overlap-score", cfg.min_overlap_score,
                                        std::numeric_limits<i32>::min(), kIntMax);
   if (args.has("gfa") && !cfg.stage5) {
@@ -641,17 +643,7 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
   if (args.has("truth") && simulated) {
     throw UsageError("--truth only applies to --input (presets carry their own truth)");
   }
-  bool eval_on = simulated || args.has("truth");
-  if (args.has("eval")) {
-    const std::string eval_mode = args.get("eval", "");
-    if (eval_mode == "on") {
-      eval_on = true;
-    } else if (eval_mode == "off") {
-      eval_on = false;
-    } else {
-      throw UsageError("unknown --eval=" + eval_mode + " (expected on|off)");
-    }
-  }
+  const bool eval_on = parse_on_off(args, "eval", simulated || args.has("truth"));
   if (eval_on && !truth) {
     // File-based input: the provenance must come from a sidecar TSV.
     std::string truth_path;
@@ -708,8 +700,8 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
   } else {
     out << "dense";
   }
-  out << "  chain=" << chain_mode
-      << "  overlap-comm=" << overlap_mode << "  blocks=" << cfg.blocks << "\n\n";
+  out << "  chain=" << (cfg.chain ? "on" : "off")
+      << "  overlap-comm=" << (cfg.overlap_comm ? "on" : "off") << "  blocks=" << cfg.blocks << "\n\n";
 
   // --- run.
   core::PipelineOutput result;

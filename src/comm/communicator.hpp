@@ -6,8 +6,9 @@
 ///
 /// The Communicator moves no payload itself. Every byte that crosses ranks
 /// travels through comm::Exchanger (exchanger.hpp) — a stage's batched
-/// exchange loop as well as the comm::allgatherv / comm::allreduce_sum
-/// helpers — over the World's framed, CRC-checked, replayable mailbox path.
+/// exchange loop as well as comm::allreduce_sum, the pipeline's one other
+/// collective (a sum over comm::allgatherv) — over the World's framed,
+/// CRC-checked, replayable mailbox path.
 /// barrier() is the one collective without a payload: the World's single
 /// phase fence. All collectives follow the SPMD contract: every rank calls
 /// them in the same order.

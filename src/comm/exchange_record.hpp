@@ -22,7 +22,7 @@ namespace dibella::comm {
 /// Collective operation kinds. kBarrier is the World's phase fence and moves
 /// no payload; kExchange is one Exchanger flush/wait — the irregular
 /// all-to-all (MPI_Alltoallv) every payload-moving collective rides,
-/// allgatherv and allreduce_sum included (exchanger.hpp).
+/// allreduce_sum and the allgatherv it sums over included (exchanger.hpp).
 enum class CollectiveOp : u8 {
   kBarrier,
   kExchange,

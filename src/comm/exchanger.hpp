@@ -3,8 +3,9 @@
 /// The batched irregular all-to-all every payload crossing ranks travels
 /// through: a chunked exchange with post / flush_async / wait semantics;
 /// run_exchange, the one loop driver that runs a stage's pack/consume pair
-/// under either of two schedules; and the two small collectives the
-/// pipeline needs besides (allgatherv, allreduce_sum), each one flush/wait.
+/// under either of two schedules; and allreduce_sum, the one small
+/// collective the pipeline needs besides (it sizes stage 1's Bloom filter),
+/// a sum over allgatherv, which the tests also drive: one flush/wait each.
 ///
 /// The schedule is part of the Exchanger's config (`Config::overlap`):
 ///

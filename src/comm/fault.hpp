@@ -11,7 +11,7 @@
 /// a collective operation within that stage on the injecting `rank`
 /// (default rank 0) — every barrier and every Exchanger flush counts one,
 /// and every payload-moving collective is an Exchanger flush (a stage's
-/// exchange batches as well as comm::allgatherv / comm::allreduce_sum). A
+/// exchange batches as well as stage 1's comm::allreduce_sum). A
 /// spec arms at the first *opportunity* at or after its epoch: abort faults
 /// fire at the matching collective of any kind; a transport fault fires at
 /// its exact epoch, or at the stage's next exchange if that epoch is a

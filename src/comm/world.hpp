@@ -14,13 +14,13 @@
 /// from the sources as their deposits arrive, so ranks synchronize only
 /// pairwise and only on the data they actually need — which is what lets
 /// an Exchanger overlap an in-flight batch with local compute. Every
-/// payload-moving collective, comm::allgatherv and comm::allreduce_sum
-/// included, is an Exchanger flush/wait; barrier() is the one whole-world
-/// phase fence and carries no payload. Rank failures and mismatched
-/// collective sequences (a barrier meeting an exchange, detected by
-/// timeout; ranks disagreeing on the barrier epoch) poison the world so
-/// sibling ranks blocked in collectives terminate instead of deadlocking,
-/// and the first exception is rethrown from World::run.
+/// payload-moving collective, the pipeline's comm::allreduce_sum (a sum
+/// over comm::allgatherv) included, is an Exchanger flush/wait; barrier()
+/// is the one whole-world phase fence and carries no payload. Rank failures
+/// and mismatched collective sequences (a barrier meeting an exchange,
+/// detected by timeout; ranks disagreeing on the barrier epoch) poison the
+/// world so sibling ranks blocked in collectives terminate instead of
+/// deadlocking, and the first exception is rethrown from World::run.
 
 #include <functional>
 #include <memory>

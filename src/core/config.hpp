@@ -97,8 +97,6 @@ struct PipelineConfig {
   /// input). Purely additive: PAF/GFA/eval outputs and the metrics registry
   /// are byte-identical with spans on or off.
   bool collect_spans = false;
-  /// Per-rank span ring capacity (events); oldest events drop on overflow.
-  u64 span_events_per_rank = u64{1} << 17;
 
   // --- ground-truth evaluation (src/eval/; needs a TruthTable at run time)
   /// Score the run against ground truth: overlap recall/precision/F1 plus

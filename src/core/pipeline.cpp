@@ -168,8 +168,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
   // the ranks join; single-writer during the run, so no contention).
   std::shared_ptr<obs::Trace> span_trace;
   if (config.collect_spans) {
-    span_trace = std::make_shared<obs::Trace>(
-        P, static_cast<std::size_t>(config.span_events_per_rank));
+    span_trace = std::make_shared<obs::Trace>(P);
   }
   std::vector<obs::Registry> rank_metrics(static_cast<std::size_t>(P));
   std::vector<obs::Registry> rank_wire_metrics(static_cast<std::size_t>(P));

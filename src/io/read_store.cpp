@@ -76,23 +76,6 @@ ReadStore::ReadStore(const std::vector<Read>& all, const ReadPartition& partitio
   lru_stamp_.assign(cfg.blocks, 0);
 }
 
-ReadStore ReadStore::from_local_block(std::vector<Read> local,
-                                      const ReadPartition& partition, int rank) {
-  DIBELLA_CHECK(local.size() == partition.count(rank),
-                "ReadStore: local read count does not match partition");
-  u64 lo = partition.first_gid(rank);
-  for (std::size_t i = 0; i < local.size(); ++i) {
-    DIBELLA_CHECK(local[i].gid == lo + i, "ReadStore: local reads must be a gid block");
-  }
-  ReadStore store;
-  store.rank_ = rank;
-  store.partition_ = partition;
-  store.local_ = std::move(local);
-  for (const Read& r : store.local_) store.resident_local_bytes_ += r.seq.size();
-  store.note_peak();
-  return store;
-}
-
 bool ReadStore::is_local(u64 gid) const {
   u64 lo = partition_.first_gid(rank_);
   return gid >= lo && gid < lo + partition_.count(rank_);
@@ -154,13 +137,6 @@ u64 ReadStore::local_length(u64 gid) const {
     return local_[static_cast<std::size_t>(offset)].seq.size();
   }
   return local_lengths_[static_cast<std::size_t>(offset)];
-}
-
-void ReadStore::cache_remote(Read r) {
-  remote_bytes_ += r.seq.size();
-  remote_.push_back(std::move(r));
-  rebuild_remote_index();
-  note_peak();
 }
 
 void ReadStore::cache_remote_bulk(std::vector<Read> rs) {

@@ -93,8 +93,6 @@ class ReadPartition {
 /// remote reads fetched during the alignment stage's read exchange.
 class ReadStore {
  public:
-  ReadStore() = default;
-
   /// Construct rank `rank`'s store from the full read vector (reads are
   /// copied out of the owned block only). `all` must be gid-ordered.
   ReadStore(const std::vector<Read>& all, const ReadPartition& partition, int rank);
@@ -104,11 +102,6 @@ class ReadStore {
   /// the memory budget. With cfg.blocks == 1 this is the plain constructor.
   ReadStore(const std::vector<Read>& all, const ReadPartition& partition, int rank,
             const BlockConfig& cfg);
-
-  /// Construct from already-local reads (e.g. parsed from this rank's file
-  /// byte range). `local` must be this rank's contiguous gid block.
-  static ReadStore from_local_block(std::vector<Read> local,
-                                    const ReadPartition& partition, int rank);
 
   int rank() const { return rank_; }
   const ReadPartition& partition() const { return partition_; }
@@ -130,10 +123,8 @@ class ReadStore {
   /// (always resident, even in block mode).
   u64 local_length(u64 gid) const;
 
-  /// Add a remote read fetched in the alignment read-exchange.
-  void cache_remote(Read r);
-
-  /// Bulk-add remote reads (single index rebuild; use for the read exchange).
+  /// Add remote reads fetched in the alignment read-exchange (one index
+  /// rebuild per call).
   void cache_remote_bulk(std::vector<Read> rs);
 
   /// Look up a read by gid: local block first, then the remote cache.

@@ -1,5 +1,5 @@
-// Tests for the bloom module: flat and blocked Bloom filters, HyperLogLog
-// cardinality estimation, and the distributed Bloom pipeline stage.
+// Tests for the bloom module: the Bloom filter, the a-priori cardinality
+// estimate that sizes it, and the distributed Bloom pipeline stage.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 
 #include "bloom/bloom_filter.hpp"
 #include "bloom/distributed_bloom.hpp"
-#include "bloom/hyperloglog.hpp"
 #include "comm/world.hpp"
 #include "io/read_store.hpp"
 #include "kmer/parser.hpp"
@@ -63,69 +62,6 @@ TEST(BloomFilter, TestAndInsertDetectsRepeats) {
   }
   EXPECT_GT(f.popcount(), 0u);
   EXPECT_GT(f.memory_bytes(), 0u);
-}
-
-TEST(BlockedBloomFilter, SemanticsMatchFlatFilter) {
-  db::BlockedBloomFilter f(10'000, 0.05);
-  dibella::util::Xoshiro256 rng(4);
-  std::vector<std::pair<u64, u64>> items;
-  for (int i = 0; i < 10'000; ++i) items.emplace_back(rng.next(), rng.next());
-  // First insertion mostly reports "absent" — the block structure raises the
-  // false-positive rate vs the flat filter, so allow a bounded fraction.
-  int first_insert_fp = 0;
-  for (auto [h1, h2] : items) {
-    if (f.test_and_insert(h1, h2)) ++first_insert_fp;
-  }
-  EXPECT_LT(static_cast<double>(first_insert_fp) / static_cast<double>(items.size()), 0.10);
-  // No false negatives, ever.
-  for (auto [h1, h2] : items) EXPECT_TRUE(f.contains(h1, h2));
-  // Overall FPR degraded vs flat but still bounded.
-  int fp = 0;
-  const int probes = 20'000;
-  for (int i = 0; i < probes; ++i) {
-    if (f.contains(rng.next(), rng.next())) ++fp;
-  }
-  EXPECT_LT(static_cast<double>(fp) / probes, 0.15);
-  EXPECT_GT(f.memory_bytes(), 0u);
-  EXPECT_GT(f.block_count(), 1u);
-}
-
-TEST(HyperLogLog, EstimatesWithinFivePercent) {
-  for (u64 n : {1'000u, 50'000u, 500'000u}) {
-    db::HyperLogLog hll(12);
-    dibella::util::Xoshiro256 rng(n);
-    for (u64 i = 0; i < n; ++i) hll.add(rng.next());
-    EXPECT_NEAR(hll.estimate(), static_cast<double>(n), 0.05 * static_cast<double>(n))
-        << "n=" << n;
-  }
-}
-
-TEST(HyperLogLog, DuplicatesDoNotInflate) {
-  db::HyperLogLog hll(12);
-  dibella::util::Xoshiro256 rng(9);
-  std::vector<u64> hashes;
-  for (int i = 0; i < 5'000; ++i) hashes.push_back(rng.next());
-  for (int round = 0; round < 10; ++round) {
-    for (u64 h : hashes) hll.add(h);
-  }
-  EXPECT_NEAR(hll.estimate(), 5'000.0, 400.0);
-}
-
-TEST(HyperLogLog, MergeEqualsUnion) {
-  db::HyperLogLog a(12), b(12), u(12);
-  dibella::util::Xoshiro256 rng(10);
-  for (int i = 0; i < 20'000; ++i) {
-    u64 h = rng.next();
-    (i % 2 ? a : b).add(h);
-    u.add(h);
-  }
-  a.merge(b);
-  EXPECT_NEAR(a.estimate(), u.estimate(), 1e-9);
-  // Round-trip through raw registers (the distributed combine path).
-  auto rebuilt = db::HyperLogLog::from_registers(12, a.registers());
-  EXPECT_DOUBLE_EQ(rebuilt.estimate(), a.estimate());
-  db::HyperLogLog wrong(10);
-  EXPECT_THROW(wrong.merge(a), dibella::Error);
 }
 
 TEST(CardinalityEstimate, UpperBoundsSimulatedData) {

@@ -336,7 +336,8 @@ TEST(CliUsage, BadStage5ValueIsAUsageError) {
   DriverResult r = run_driver({"--preset=tiny", "--ranks=1", "--no-output",
                                "--stage5=maybe"});
   EXPECT_EQ(r.exit_code, dibella::cli::kExitUsageError);
-  EXPECT_NE(r.err.find("stage5"), std::string::npos);
+  EXPECT_NE(r.err.find("unknown --stage5=maybe (expected on|off)"), std::string::npos)
+      << r.err;
 }
 
 TEST(CliUsage, GfaWithoutStage5IsAUsageError) {
@@ -350,7 +351,8 @@ TEST(CliUsage, BadOverlapCommValueIsAUsageError) {
   DriverResult r = run_driver({"--preset=tiny", "--ranks=1", "--no-output",
                                "--overlap-comm=maybe"});
   EXPECT_EQ(r.exit_code, dibella::cli::kExitUsageError);
-  EXPECT_NE(r.err.find("overlap-comm"), std::string::npos);
+  EXPECT_NE(r.err.find("unknown --overlap-comm=maybe (expected on|off)"), std::string::npos)
+      << r.err;
 }
 
 // --- ground-truth evaluation --------------------------------------------------
@@ -461,13 +463,16 @@ TEST(CliUsage, SyncmerNeedsACompatibleWindow) {
   DriverResult bad = run_driver({"--preset=tiny", "--ranks=1", "--no-output",
                                  "--syncmer=maybe"});
   EXPECT_EQ(bad.exit_code, dibella::cli::kExitUsageError);
+  EXPECT_NE(bad.err.find("unknown --syncmer=maybe (expected on|off)"), std::string::npos)
+      << bad.err;
 }
 
 TEST(CliUsage, BadChainValueIsAUsageError) {
   DriverResult r = run_driver({"--preset=tiny", "--ranks=1", "--no-output",
                                "--chain=maybe"});
   EXPECT_EQ(r.exit_code, dibella::cli::kExitUsageError);
-  EXPECT_NE(r.err.find("chain"), std::string::npos);
+  EXPECT_NE(r.err.find("unknown --chain=maybe (expected on|off)"), std::string::npos)
+      << r.err;
 }
 
 TEST_F(CliSmoke, MinimizerModeWritesSketchCounters) {
@@ -553,11 +558,33 @@ TEST(CliUsage, IntegerOverflowIsAUsageError) {
   }
 }
 
+TEST(CliUsage, FloatFlagsOutsideTheirRangeAreUsageErrors) {
+  // Each value used to run or fail deep in the pipeline: --coverage=inf ran
+  // with m = 2, --scale=nan passed the (0, 1] check because NaN compares
+  // false, and the rest exited 1 from an internal check. --scale is tested
+  // only on the tiny preset, which ignores it.
+  for (const char* bad :
+       {"--coverage=inf", "--coverage=1e999", "--coverage=-3", "--bloom-fpr=0",
+        "--bloom-fpr=1.5", "--bloom-fpr=nan", "--error-rate=2", "--error-rate=1",
+        "--scale=nan"}) {
+    DriverResult r = run_driver({"--preset=tiny", "--ranks=1", "--no-output", bad});
+    EXPECT_EQ(r.exit_code, dibella::cli::kExitUsageError) << bad;
+    const std::string flag = std::string(bad).substr(0, std::string(bad).find('='));
+    EXPECT_NE(r.err.find(flag), std::string::npos) << bad << ": " << r.err;
+  }
+  // The closed ends of [0, 1) and (0, 1] are valid values.
+  for (const char* edge : {"--error-rate=0", "--scale=1"}) {
+    DriverResult r = run_driver({"--preset=tiny", "--ranks=1", "--no-output", edge});
+    EXPECT_EQ(r.exit_code, dibella::cli::kExitOk) << edge << ": " << r.err;
+  }
+}
+
 TEST(CliUsage, BadEvalValueIsAUsageError) {
   DriverResult r = run_driver({"--preset=tiny", "--ranks=1", "--no-output",
                                "--eval=maybe"});
   EXPECT_EQ(r.exit_code, dibella::cli::kExitUsageError);
-  EXPECT_NE(r.err.find("eval"), std::string::npos);
+  EXPECT_NE(r.err.find("unknown --eval=maybe (expected on|off)"), std::string::npos)
+      << r.err;
 }
 
 TEST(CliUsage, TruthWithPresetIsAUsageError) {

@@ -138,24 +138,12 @@ TEST(ReadStore, LocalAndRemoteLookup) {
   // A read from rank 0's block is not local; caching makes it visible.
   EXPECT_FALSE(store.is_local(0));
   EXPECT_THROW(store.get(0), dibella::Error);
-  store.cache_remote(reads[0]);
+  store.cache_remote_bulk({reads[0]});
   EXPECT_EQ(store.get(0).name, reads[0].name);
   EXPECT_EQ(store.remote_cache_size(), 1u);
-  // Bulk cache.
+  // A second batch extends the cache.
   store.cache_remote_bulk({reads[1], reads[2]});
   EXPECT_EQ(store.get(2).name, reads[2].name);
   store.clear_remote_cache();
   EXPECT_THROW(store.get(0), dibella::Error);
-}
-
-TEST(ReadStore, RejectsWrongBlock) {
-  auto reads = sample_reads(10, 11);
-  std::vector<u64> lens;
-  for (auto& r : reads) lens.push_back(r.seq.size());
-  dio::ReadPartition part(lens, 2);
-  // Construct with a block that is not rank 1's: must throw.
-  std::vector<dio::Read> wrong(reads.begin(), reads.begin() + 2);
-  if (part.count(1) != 2 || part.first_gid(1) != 0) {
-    EXPECT_THROW(dio::ReadStore::from_local_block(wrong, part, 1), dibella::Error);
-  }
 }
